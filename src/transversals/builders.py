@@ -28,7 +28,9 @@ from .model import HEAVY, LIGHT, Block, PartitionedInstance
 from .sequences import (
     GradeSequence,
     forest_grade_sequence,
+    grade_block_degree,
     hypergraph_grade_sequence,
+    structure_violations,
     threshold_constant,
     validate_sequence,
     _run_floor_recurrence,
@@ -318,19 +320,12 @@ def build_hypergraph(
     the implied epsilon (smallest making every per-grade block degree fit
     (c_r + eps) t^r) is recorded in the metadata.
     """
+    values = _hypergraph_values(t, r, epsilon, sequence_override)
     if sequence_override is not None:
-        values = tuple(sequence_override)
-        _check_override(t, values)
-        eps_implied = _implied_hypergraph_epsilon(t, r, values)
-        meta_eps = str(eps_implied)
+        meta_eps = str(_implied_hypergraph_epsilon(t, r, values))
         seq_source = "override"
     else:
-        if epsilon is None:
-            raise ParameterError("epsilon is required unless a sequence is given")
-        seq = hypergraph_grade_sequence(t, r, Fraction(epsilon))
-        values = seq.values
-        _assert_grade_degree_bounds(t, r, values, Fraction(epsilon))
-        meta_eps = str(seq.epsilon)
+        meta_eps = str(Fraction(epsilon))
         seq_source = "generated"
     inst = _build_recursive(
         t,
@@ -354,39 +349,33 @@ def build_hypergraph(
     return inst
 
 
-def _check_override(t: int, values: tuple[int, ...]) -> None:
-    if len(values) < 2 or values[0] != 0 or values[-1] != t:
-        raise SequenceError(f"override must run from 0 to t={t}, got {values}")
-    if any(values[i + 1] <= values[i] for i in range(len(values) - 1)):
-        raise SequenceError(f"override must be strictly increasing, got {values}")
+def _hypergraph_values(
+    t: int,
+    r: int,
+    epsilon: Fraction | None,
+    sequence_override: Sequence[int] | None,
+) -> tuple[int, ...]:
+    """The override, checked for structure only, or the generated sequence."""
+    if sequence_override is None:
+        if epsilon is None:
+            raise ParameterError("epsilon is required unless a sequence is given")
+        return hypergraph_grade_sequence(t, r, Fraction(epsilon)).values
+    values = tuple(sequence_override)
+    violations = structure_violations(t, values)
+    if violations:
+        raise SequenceError(
+            f"override {values} is not a grade sequence for t={t}: "
+            + "; ".join(v.message for v in violations)
+        )
+    return values
 
 
 def _implied_hypergraph_epsilon(t: int, r: int, values: tuple[int, ...]) -> Fraction:
-    c_r = threshold_constant(r)
     worst = max(
-        Fraction(
-            values[j + 1] * (t - values[j]) ** (r - 1)
-            + (t - values[j + 1]) ** (r - 1),
-            t**r,
-        )
+        Fraction(grade_block_degree(t, r, values[j], values[j + 1]), t**r)
         for j in range(len(values) - 1)
     )
-    return max(worst - c_r, Fraction(0))
-
-
-def _assert_grade_degree_bounds(
-    t: int, r: int, values: tuple[int, ...], epsilon: Fraction
-) -> None:
-    c_r = threshold_constant(r)
-    budget = (c_r + epsilon) * t**r
-    for j in range(len(values) - 1):
-        lhs = values[j + 1] * (t - values[j]) ** (r - 1) + (t - values[j + 1]) ** (
-            r - 1
-        )
-        if lhs > budget:
-            raise AssertionError(
-                f"grade {j + 2} block degree {lhs} exceeds (c_r+eps)t^r = {budget}"
-            )
+    return max(worst - threshold_constant(r), Fraction(0))
 
 
 def _build_recursive(
@@ -505,13 +494,8 @@ def _pair_profile(
         values = (start,) + tuple(_run_floor_recurrence(t, delta, start=n2))
 
     # Per-block degrees: the gadget pair first, then grades 2..k.
-    degrees = [
-        a_size * b_size + (t - a_size),
-        a_size * b_size + (t - b_size),
-    ]
-    for j in range(1, len(values)):
-        incoming = t - values[j] if j < len(values) - 1 else 0
-        degrees.append(values[j] * (t - values[j - 1]) + incoming)
+    degrees = [a_size * b_size + (t - a_size), a_size * b_size + (t - b_size)]
+    degrees += [grade_block_degree(t, 2, values[j - 1], values[j]) for j in range(1, len(values))]
     budget = (Fraction(1, 4) + epsilon) * t * t
     for i, d in enumerate(degrees):
         if d > budget:
@@ -551,7 +535,11 @@ def build_bounded_degree(
     alpha: Fraction | None = None,
     max_cells: int | None = DEFAULT_MAX_CELLS,
 ) -> PartitionedInstance:
-    """Materialize the maximum-degree-bounded variant and certify it."""
+    """Materialize the maximum-degree-bounded variant.
+
+    The build is not certified here; ``propagate_certificate`` (or
+    ``transversals certify``) proves that it has no independent transversal.
+    """
     profile = bounded_degree_profile(t, epsilon, alpha)
     return _build_pair_variant(profile, "bounded_degree", max_cells)
 
@@ -561,7 +549,11 @@ def build_local_degree(
     epsilon: Fraction,
     max_cells: int | None = DEFAULT_MAX_CELLS,
 ) -> PartitionedInstance:
-    """Materialize the local-degree-bounded variant and certify it."""
+    """Materialize the local-degree-bounded variant.
+
+    The build is not certified here; ``propagate_certificate`` (or
+    ``transversals certify``) proves that it has no independent transversal.
+    """
     profile = local_degree_profile(t, epsilon)
     return _build_pair_variant(profile, "local_degree", max_cells)
 
@@ -569,7 +561,6 @@ def build_local_degree(
 def _build_pair_variant(
     profile: DegreeBoundedProfile, name: str, max_cells: int | None
 ) -> PartitionedInstance:
-    from . import solving  # local import; solving depends on model only
     from .model import local_degree as local_degree_metric
     from .model import max_block_average_degree, max_degree
 
@@ -608,8 +599,6 @@ def _build_pair_variant(
     mbad = max_block_average_degree(inst)
     if mbad > (Fraction(1, 4) + profile.epsilon) * t:
         raise AssertionError(f"block average degree {mbad} exceeds the bound")
-    if solving.propagate_certificate(inst) is None:
-        raise AssertionError(f"{name} build was not refuted by propagation")
     return inst
 
 
@@ -646,13 +635,7 @@ def hypergraph_bounded_profile(
     parts = hypergraph_bounded_parts(t, r)
     c_r = threshold_constant(r)
     forced = r * t - sum(parts)
-    if sequence_override is not None:
-        values = tuple(sequence_override)
-        _check_override(t, values)
-    else:
-        if epsilon is None:
-            raise ParameterError("epsilon is required unless a sequence is given")
-        values = hypergraph_grade_sequence(t, r, Fraction(epsilon)).values
+    values = _hypergraph_values(t, r, epsilon, sequence_override)
 
     # Vertex degrees: join parts, forced vertices, then heavy grades.
     part_degrees = []
@@ -676,10 +659,8 @@ def hypergraph_bounded_profile(
             degrees.append(prod_all + forced * t ** (r - 2))
         else:
             degrees.append(prod_all + (t - parts[i]) * t ** (r - 2))
-    for j in range(1, len(values)):
-        incoming = (t - values[j]) ** (r - 1) if j < len(values) - 1 else 0
-        own = grade2_heavy if j == 1 else (t - values[j - 1]) ** (r - 1)
-        degrees.append(values[j] * own + incoming)
+    degrees.append(values[1] * grade2_heavy + (t - values[1]) ** (r - 1))
+    degrees += [grade_block_degree(t, r, values[j - 1], values[j]) for j in range(2, len(values))]
 
     if sequence_override is not None:
         eps = max(Fraction(max(degrees), t**r) - c_r, Fraction(0))

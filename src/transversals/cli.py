@@ -115,13 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="exact search for one transversal")
     solve.add_argument("instance", type=Path)
-    solve.add_argument("--deterministic", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
     count = sub.add_parser("count", help="exhaustively count transversals")
     count.add_argument("instance", type=Path)
     count.add_argument("--cap", type=int)
-    count.add_argument("--deterministic", action="store_true")
     count.set_defaults(func=_cmd_count)
 
     export = sub.add_parser("export", help="export an instance as Graphviz DOT")
@@ -234,7 +232,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
-    report = find_transversal(instance, deterministic=args.deterministic)
+    report = find_transversal(instance)
     out = {
         "outcome": report.outcome,
         "assignment": None

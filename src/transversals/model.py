@@ -54,8 +54,10 @@ class VertexInfo:
 class PartitionedInstance:
     """An immutable r-uniform hypergraph with a block partition.
 
-    Invariants enforced at construction:
+    Invariants enforced at construction (this is their only check; the
+    parser defers to it):
 
+    * each block's ``id`` equals its position, and only padding blocks are empty,
     * blocks partition ``range(num_vertices)`` (dense ids, each exactly once),
     * every edge has exactly ``r`` distinct vertices, no duplicate edges,
     * for r=2 no loops (distinctness) and no parallel edges (no duplicates).
@@ -88,25 +90,27 @@ class PartitionedInstance:
         self.r = r
         self.blocks = tuple(blocks)
 
-        block_of: dict[int, int] = {}
-        for b in self.blocks:
+        n = sum(b.size for b in self.blocks)
+        block_of = [-1] * n
+        for i, b in enumerate(self.blocks):
+            if b.id != i:
+                raise InstanceError(f"block ids must be dense and ordered, got {b.id!r} at {i}")
             if b.size == 0 and not b.padding:
-                raise InstanceError(f"block {b.id} is empty and not a padding block")
+                raise InstanceError(f"block {i} is empty and not a padding block")
             for v in b.members:
-                if v in block_of:
-                    raise InstanceError(f"vertex {v} appears in more than one block")
-                block_of[v] = b.id
-        n = len(block_of)
-        if set(block_of) != set(range(n)):
-            raise InstanceError("vertex ids must be dense (0..num_vertices-1)")
-        self._block_of = [block_of[v] for v in range(n)]
+                if not 0 <= v < n:
+                    raise InstanceError("vertex ids must be dense (0..num_vertices-1)")
+                if block_of[v] >= 0:
+                    raise InstanceError(f"partition violation: vertex {v} in more than one block")
+                block_of[v] = i
+        self._block_of = block_of
 
         norm_edges: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         for e in edges:
             tup = tuple(sorted(e))
             if len(tup) != r or len(set(tup)) != r:
-                raise InstanceError(f"edge {tuple(e)} does not have {r} distinct vertices")
+                raise InstanceError(f"edge {tuple(e)} is not an array of {r} distinct vertices")
             if tup[0] < 0 or tup[-1] >= n:
                 raise InstanceError(f"edge {tup} references an unknown vertex")
             if tup in seen:
@@ -242,34 +246,40 @@ def block_degree(instance: PartitionedInstance, b: int) -> int:
     return count
 
 
-def _all_block_degrees(instance: PartitionedInstance) -> dict[int, int]:
-    degrees = {b.id: 0 for b in instance.blocks}
+def _all_block_degrees(instance: PartitionedInstance) -> tuple[dict[int, int], int]:
+    """Every block's degree and the number of stretched edges, in one pass."""
+    block_of = instance._block_of
+    degrees = [0] * instance.num_blocks
+    stretched = 0
     if instance.r == 2:
         for u, v in instance.edges:
-            bu, bv = instance.block_of(u), instance.block_of(v)
+            bu, bv = block_of[u], block_of[v]
             if bu != bv:
                 degrees[bu] += 1
                 degrees[bv] += 1
+                stretched += 1
     else:
         for e in instance.edges:
-            if not _edge_is_stretched(instance, e):
-                continue
-            for b in {instance.block_of(v) for v in e}:
-                degrees[b] += 1
-    return degrees
+            blocks = {block_of[v] for v in e}
+            if len(blocks) == len(e):
+                stretched += 1
+                for b in blocks:
+                    degrees[b] += 1
+    return dict(enumerate(degrees)), stretched
 
 
 def max_block_average_degree(instance: PartitionedInstance) -> Fraction:
     """Exact maximum of d(B)/|B| over blocks.  Empty padding blocks are skipped."""
+    return _max_average(instance, _all_block_degrees(instance)[0])
+
+
+def _max_average(instance: PartitionedInstance, degrees: dict[int, int]) -> Fraction:
     if instance.num_blocks == 0:
         raise InstanceError("instance has no blocks")
-    degrees = _all_block_degrees(instance)
-    best = Fraction(0)
-    for blk in instance.blocks:
-        if blk.size == 0:
-            continue
-        best = max(best, Fraction(degrees[blk.id], blk.size))
-    return best
+    return max(
+        (Fraction(degrees[blk.id], blk.size) for blk in instance.blocks if blk.size),
+        default=Fraction(0),
+    )
 
 
 def max_degree(instance: PartitionedInstance) -> int:
@@ -349,12 +359,10 @@ def thickness(instance: PartitionedInstance) -> int:
 
 
 def compute_metrics(instance: PartitionedInstance) -> InstanceMetrics:
-    degrees = _all_block_degrees(instance)
-    mbad = max_block_average_degree(instance)
-    stretched = sum(1 for e in instance.edges if _edge_is_stretched(instance, e))
+    degrees, stretched = _all_block_degrees(instance)
     return InstanceMetrics(
         per_block_degree=degrees,
-        max_block_avg_degree=mbad,
+        max_block_avg_degree=_max_average(instance, degrees),
         max_degree=max_degree(instance),
         local_degree=local_degree(instance) if instance.r == 2 else None,
         thickness=thickness(instance),

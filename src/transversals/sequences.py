@@ -168,23 +168,17 @@ def simple_sequence(t: int) -> GradeSequence:
 
 def minimal_epsilon(t: int, values: tuple[int, ...]) -> Fraction:
     """Smallest epsilon making a structurally valid sequence pass validation."""
-    _check_structure(t, values)
+    violations = structure_violations(t, values)
+    if violations:
+        raise ParameterError(
+            f"invalid grade sequence {values}: "
+            + "; ".join(v.message for v in violations)
+        )
     worst = max(
-        Fraction(values[j + 1] * (t - values[j]) + (t - values[j + 1]), t * t)
+        Fraction(grade_block_degree(t, 2, values[j], values[j + 1]), t * t)
         for j in range(len(values) - 1)
     )
     return worst - Fraction(1, 4)
-
-
-def _check_structure(t: int, values: tuple[int, ...]) -> None:
-    if len(values) < 2:
-        raise ParameterError("a grade sequence needs at least two values")
-    if values[0] != 0:
-        raise ParameterError(f"sequence must start at 0, got {values[0]}")
-    if values[-1] != t:
-        raise ParameterError(f"sequence must end at t={t}, got {values[-1]}")
-    if any(values[j + 1] <= values[j] for j in range(len(values) - 1)):
-        raise ParameterError("sequence must be strictly increasing")
 
 
 # -- hypergraph sequences -----------------------------------------------------
@@ -264,16 +258,11 @@ def grade_count_bound(epsilon: Fraction) -> int:
 # -- validation ---------------------------------------------------------------
 
 
-def validate_sequence(seq: AnySequence) -> list[Violation]:
-    """Check all sequence invariants under exact arithmetic.
-
-    Returns an empty list iff the sequence is valid; each violation names the
-    index j and the inequality that failed.
-    """
+def structure_violations(t: int, values: tuple[int, ...]) -> list[Violation]:
+    """The structural invariants 0 = n_1 < ... < n_k = t with k >= 2."""
+    if len(values) < 2:
+        return [Violation(0, "a grade sequence needs at least two values")]
     out: list[Violation] = []
-    values, t = seq.values, seq.t
-    if not values:
-        return [Violation(0, "sequence is empty")]
     if values[0] != 0:
         out.append(Violation(0, f"n_1 must be 0, got {values[0]}"))
     if values[-1] != t:
@@ -281,15 +270,30 @@ def validate_sequence(seq: AnySequence) -> list[Violation]:
     for j in range(len(values) - 1):
         if values[j + 1] <= values[j]:
             out.append(Violation(j, f"not strictly increasing at j={j + 1}"))
+    return out
+
+
+def grade_block_degree(t: int, r: int, n_j: int, n_next: int) -> int:
+    """n_{j+1} (t - n_j)^(r-1) + (t - n_{j+1})^(r-1): the degree of a grade
+    j+1 block, its heavy edges plus the edges from a parent's heavy vertex."""
+    return n_next * (t - n_j) ** (r - 1) + (t - n_next) ** (r - 1)
+
+
+def validate_sequence(seq: AnySequence) -> list[Violation]:
+    """Check all sequence invariants under exact arithmetic.
+
+    Returns an empty list iff the sequence is valid; each violation names the
+    index j and the inequality that failed.
+    """
+    values, t = seq.values, seq.t
+    out = structure_violations(t, values)
 
     if isinstance(seq, HypergraphGradeSequence):
         c_r = threshold_constant(seq.r)
         r = seq.r
         budget = (1 + seq.epsilon) * c_r * t**r
         for j in range(len(values) - 1):
-            lhs = values[j + 1] * (t - values[j]) ** (r - 1) + (t - values[j + 1]) ** (
-                r - 1
-            )
+            lhs = grade_block_degree(t, r, values[j], values[j + 1])
             if lhs > budget:
                 out.append(
                     Violation(
@@ -316,9 +320,7 @@ def validate_sequence(seq: AnySequence) -> list[Violation]:
     else:
         budget = (Fraction(1, 4) + seq.epsilon) * t
         for j in range(len(values) - 1):
-            lhs = Fraction(
-                values[j + 1] * (t - values[j]) + (t - values[j + 1]) * 1, t
-            )
+            lhs = Fraction(grade_block_degree(t, 2, values[j], values[j + 1]), t)
             if lhs > budget:
                 out.append(
                     Violation(

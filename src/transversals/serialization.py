@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError
+from .errors import InstanceError, ParseError
 from .model import HEAVY, LIGHT, Block, PartitionedInstance
 from .solving import (
     Certificate,
@@ -63,76 +63,55 @@ def serialize_instance(instance: PartitionedInstance) -> bytes:
 
 
 def parse_instance(data: bytes | str) -> PartitionedInstance:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    """Check the JSON shape and types here; the structural invariants
+    (partition, dense ids, edge arity, duplicates) are the model's."""
+    obj = _load_json(data)
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
     version = obj.get("version")
     if version != INSTANCE_VERSION:
         raise ParseError(f"unsupported instance version {version!r}")
     r = obj.get("r")
-    if not isinstance(r, int) or r < 2:
+    if not isinstance(r, int):
         raise ParseError(f"invalid uniformity {r!r}")
 
-    blocks: list[Block] = []
-    roles: dict[int, str | None] = {}
-    owner: dict[int, int] = {}
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list):
         raise ParseError("blocks must be an array")
+    blocks: list[Block] = []
+    ids: list[int] = []
+    roles: list[Any] = []
     for i, raw in enumerate(raw_blocks):
         loc = f"block {i}"
         if not isinstance(raw, dict):
             raise ParseError("block entry must be an object", location=loc)
-        bid = raw.get("id")
-        if bid != i:
-            raise ParseError(f"block ids must be dense and ordered, got {bid!r}", location=loc)
         grade = raw.get("grade")
         if grade is not None and (not isinstance(grade, int) or grade < 1):
             raise ParseError(f"invalid grade {grade!r}", location=loc)
-        padding = bool(raw.get("padding", False))
-        members = []
-        for entry in raw.get("vertices", []):
+        entries = raw.get("vertices", [])
+        if not isinstance(entries, list):
+            raise ParseError("vertices must be an array", location=loc)
+        start = len(ids)
+        for entry in entries:
             if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
                 raise ParseError("vertex entry must be an object with an id", location=loc)
-            v = entry["id"]
-            if v in owner:
-                raise ParseError(
-                    f"partition violation: vertex {v} already in block {owner[v]}",
-                    location=loc,
-                )
-            owner[v] = i
-            role = entry.get("role")
-            if role not in (None, HEAVY, LIGHT):
-                raise ParseError(f"unknown role {role!r} for vertex {v}", location=loc)
-            roles[v] = role
-            members.append(v)
-        blocks.append(Block(id=i, members=tuple(members), grade=grade, padding=padding))
-
-    n = len(owner)
-    if set(owner) != set(range(n)):
-        raise ParseError("vertex ids must be dense (0..num_vertices-1)")
+            ids.append(entry["id"])
+            roles.append(entry.get("role"))
+        blocks.append(
+            Block(
+                id=raw.get("id"),
+                members=tuple(ids[start:]),
+                grade=grade,
+                padding=bool(raw.get("padding", False)),
+            )
+        )
 
     raw_edges = obj.get("edges")
     if not isinstance(raw_edges, list):
         raise ParseError("edges must be an array")
-    seen: set[tuple[int, ...]] = set()
-    edges: list[tuple[int, ...]] = []
     for i, raw in enumerate(raw_edges):
-        loc = f"edge {i}"
-        if not isinstance(raw, list) or len(raw) != r:
-            raise ParseError(f"edge must be an array of {r} vertex ids", location=loc)
-        if not all(isinstance(v, int) and 0 <= v < n for v in raw):
-            raise ParseError("edge references an unknown vertex", location=loc)
-        tup = tuple(sorted(raw))
-        if len(set(tup)) != r:
-            raise ParseError("edge has repeated vertices", location=loc)
-        if tup in seen:
-            raise ParseError(f"duplicate edge {list(tup)}", location=loc)
-        seen.add(tup)
-        edges.append(tup)
+        if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+            raise ParseError("edge must be an array of vertex ids", location=f"edge {i}")
 
     meta = obj.get("meta", {})
     if not isinstance(meta, dict) or not all(
@@ -140,8 +119,16 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
     ):
         raise ParseError("meta must map strings to strings")
 
-    role_list = [roles[v] for v in range(n)]
-    return PartitionedInstance(r, blocks, edges, roles=role_list, meta=meta)
+    # Roles are listed per vertex entry; ids out of range or repeated are
+    # left unplaced here, because the model rejects them.
+    role_list: list[Any] = [None] * len(ids)
+    for v, role in zip(ids, roles):
+        if 0 <= v < len(ids):
+            role_list[v] = role
+    try:
+        return PartitionedInstance(r, blocks, raw_edges, roles=role_list, meta=meta)
+    except InstanceError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def write_instance(instance: PartitionedInstance, path: str | Path) -> None:
@@ -203,14 +190,16 @@ def serialize_certificate(cert: Certificate) -> bytes:
 
 
 def parse_certificate(data: bytes | str) -> Certificate:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("version") != CERTIFICATE_VERSION:
+    obj = _load_json(data)
+    if not isinstance(obj, dict):
+        raise ParseError("top-level value must be an object")
+    if obj.get("version") != CERTIFICATE_VERSION:
         raise ParseError(f"unsupported certificate version {obj.get('version')!r}")
+    raw_steps = obj.get("steps", [])
+    if not isinstance(raw_steps, list):
+        raise ParseError("steps must be an array")
     steps: list[Step] = []
-    for i, raw in enumerate(obj.get("steps", [])):
+    for i, raw in enumerate(raw_steps):
         loc = f"step {i}"
         if not isinstance(raw, dict):
             raise ParseError("step must be an object", location=loc)
@@ -219,21 +208,24 @@ def parse_certificate(data: bytes | str) -> Certificate:
             if kind == "forced":
                 steps.append(
                     ForcedSetStep(
-                        block=raw["block"], survivors=tuple(raw["survivors"])
+                        block=raw["block"], survivors=_ints(raw["survivors"], loc)
                     )
                 )
             elif kind == "forbidden":
                 steps.append(
                     ForbiddenStep(
-                        vertex=raw["vertex"], witnesses=tuple(raw["witnesses"])
+                        vertex=raw["vertex"], witnesses=_ints(raw["witnesses"], loc)
                     )
                 )
             elif kind == "join_forced":
+                kept = raw["kept"]
+                if not isinstance(kept, list):
+                    raise ParseError("kept must be an array of arrays", location=loc)
                 steps.append(
                     JoinForcedStep(
-                        blocks=tuple(raw["blocks"]),
-                        kept=tuple(tuple(part) for part in raw["kept"]),
-                        forced=tuple(raw["forced"]),
+                        blocks=_ints(raw["blocks"], loc),
+                        kept=tuple(_ints(part, loc) for part in kept),
+                        forced=_ints(raw["forced"], loc),
                     )
                 )
             elif kind == "forbidden_via_forced":
@@ -241,7 +233,7 @@ def parse_certificate(data: bytes | str) -> Certificate:
                     ForbiddenViaForcedStep(
                         vertex=raw["vertex"],
                         forced_step=raw["forced_step"],
-                        witnesses=tuple(raw["witnesses"]),
+                        witnesses=_ints(raw["witnesses"], loc),
                     )
                 )
             else:
@@ -252,6 +244,12 @@ def parse_certificate(data: bytes | str) -> Certificate:
     if not isinstance(conclusion, int):
         raise ParseError(f"invalid conclusion {conclusion!r}")
     return Certificate(steps=tuple(steps), conclusion=conclusion)
+
+
+def _ints(value: Any, loc: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise ParseError("expected an array of integers", location=loc)
+    return tuple(value)
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:
@@ -295,6 +293,13 @@ def export_dot(instance: PartitionedInstance) -> str:
 
 
 # -- helpers ---------------------------------------------------------------------
+
+
+def _load_json(data: bytes | str) -> Any:
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8, too deep
+        raise ParseError(f"not valid JSON: {exc}") from exc
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

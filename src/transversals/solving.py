@@ -541,17 +541,13 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
 # -- exact search -----------------------------------------------------------------
 
 
-def find_transversal(
-    instance: PartitionedInstance, deterministic: bool = True
-) -> TransversalReport:
+def find_transversal(instance: PartitionedInstance) -> TransversalReport:
     """Exact backtracking search pruned by the propagation fixpoint.
 
     Branches on the block with the fewest surviving candidates (ties to the
-    lowest id), vertices in ascending id order.  The search is deterministic
-    regardless of the flag; the flag is kept so callers can state the
-    requirement explicitly.
+    lowest id), vertices in ascending id order, so the search is
+    deterministic.
     """
-    del deterministic
     start = time.perf_counter()
     nodes = 0
 
@@ -703,7 +699,7 @@ def check_ww_bound(instance: PartitionedInstance) -> WWReport:
     t = thickness(instance)
     r = instance.r
     c_r = threshold_constant(r)
-    degrees = _all_block_degrees(instance)
+    degrees = _all_block_degrees(instance)[0]
     for blk in instance.blocks:
         if Fraction(degrees[blk.id]) > c_r * t ** (r - 1) * blk.size:
             return WWReport(status="hypothesis_not_met", failing_block=blk.id)

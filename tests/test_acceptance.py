@@ -286,8 +286,8 @@ def test_a11_determinism_and_round_trip(tmp_path):
         assert serialize_instance(parse_instance(data)) == data
 
     inst = read_instance(a)
-    first = find_transversal(inst, deterministic=True)
-    second = find_transversal(inst, deterministic=True)
+    first = find_transversal(inst)
+    second = find_transversal(inst)
     assert first.outcome == second.outcome == "none_exhaustive"
     assert first.nodes_explored == second.nodes_explored
     report("a11 determinism and round trip", True)

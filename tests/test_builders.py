@@ -20,6 +20,7 @@ from transversals import (
     build_hypergraph_bounded_degree,
     build_local_degree,
     build_star_counterexample,
+    check_certificate,
     hypergraph_bounded_parts,
     hypergraph_bounded_profile,
     is_forest,
@@ -29,6 +30,7 @@ from transversals import (
     max_degree,
     pad_blocks,
     predict_size,
+    propagate_certificate,
     serialize_instance,
     simple_sequence,
     thickness,
@@ -253,6 +255,19 @@ class TestLocalDegreeBuild:
     def test_t1000_build_refused_as_too_large(self):
         with pytest.raises(BuildSizeError):
             build_local_degree(1000, Fraction(1, 20))
+
+
+@pytest.mark.parametrize("builder", [build_bounded_degree, build_local_degree])
+@pytest.mark.parametrize(
+    "t, epsilon", [(12, Fraction(2, 5)), (14, Fraction(3, 10))], ids=["t12", "t14"]
+)
+def test_pair_builds_are_refuted_by_replayable_certificates(builder, t, epsilon):
+    # The builders do not certify themselves; this is the proof that they
+    # build what the paper claims: no independent transversal.
+    inst = builder(t, epsilon)
+    cert = propagate_certificate(inst)
+    assert cert is not None
+    assert check_certificate(inst, cert)
 
 
 class TestHypergraphBoundedDegree:

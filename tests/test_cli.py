@@ -1,6 +1,6 @@
 import json
 
-from transversals import read_certificate, read_instance
+from transversals import check_certificate, read_certificate, read_instance
 from transversals.cli import main
 
 
@@ -23,6 +23,18 @@ class TestGen:
         assert code == 0
         inst = read_instance(out)
         assert read_certificate(cert).conclusion == inst.num_blocks - 1
+
+    def test_bounded_degree_gen_then_certify_replays(self, tmp_path, capsys):
+        out = tmp_path / "bounded.json"
+        cert = tmp_path / "bounded.cert.json"
+        code, _, _ = run(
+            capsys, "gen", "--kind", "bounded_degree", "--t", "12",
+            "--epsilon", "2/5", "--out", str(out),
+        )
+        assert code == 0
+        code, _, _ = run(capsys, "certify", str(out), "--out", str(cert))
+        assert code == 0
+        assert check_certificate(read_instance(out), read_certificate(cert))
 
     def test_gen_to_stdout(self, capsys):
         code, stdout, _ = run(capsys, "gen", "--kind", "stars", "--k", "2")
@@ -130,7 +142,7 @@ class TestSolveCount:
     def test_solve_and_count_star(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         run(capsys, "gen", "--kind", "stars", "--k", "2", "--out", str(out))
-        code, stdout, _ = run(capsys, "solve", str(out), "--deterministic")
+        code, stdout, _ = run(capsys, "solve", str(out))
         assert code == 0
         assert json.loads(stdout)["outcome"] == "none_exhaustive"
         code, stdout, _ = run(capsys, "count", str(out))
@@ -149,8 +161,8 @@ class TestSolveCount:
         out = tmp_path / "f.json"
         run(capsys, "gen", "--kind", "forest", "--t", "3", "--seq", "0,3",
             "--out", str(out))
-        _, first, _ = run(capsys, "solve", str(out), "--deterministic")
-        _, second, _ = run(capsys, "solve", str(out), "--deterministic")
+        _, first, _ = run(capsys, "solve", str(out))
+        _, second, _ = run(capsys, "solve", str(out))
         assert first == second
 
 

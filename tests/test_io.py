@@ -103,6 +103,59 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="JSON"):
             parse_instance(b"put that in your pipe")
 
+    @pytest.mark.parametrize("parse", [parse_instance, parse_certificate])
+    def test_not_utf8(self, parse):
+        with pytest.raises(ParseError, match="JSON"):
+            parse(b'{"version": 1, "meta": {"x": "\xff\xfe"}}')
+
+    @pytest.mark.parametrize("parse", [parse_instance, parse_certificate])
+    def test_nesting_too_deep(self, parse):
+        with pytest.raises(ParseError, match="JSON"):
+            parse(b"[" * 100_000)
+
+    def test_vertices_not_an_array(self):
+        obj = self._base_obj()
+        obj["blocks"][0]["vertices"] = 3
+        with pytest.raises(ParseError, match="vertices must be an array"):
+            parse_instance(json.dumps(obj))
+
+    def test_empty_block_that_is_not_padding(self):
+        obj = self._base_obj()
+        obj["blocks"].append({"id": 2, "vertices": []})
+        with pytest.raises(ParseError, match="empty"):
+            parse_instance(json.dumps(obj))
+
+    def test_block_ids_out_of_order(self):
+        obj = self._base_obj()
+        obj["blocks"][0]["id"], obj["blocks"][1]["id"] = 1, 0
+        with pytest.raises(ParseError, match="dense and ordered"):
+            parse_instance(json.dumps(obj))
+
+    def test_certificate_top_level_not_an_object(self):
+        with pytest.raises(ParseError, match="object"):
+            parse_certificate(b"[1,2]")
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"kind": "forced", "block": 0, "survivors": 5},
+            {"kind": "forbidden", "vertex": 0, "witnesses": 5},
+            {"kind": "join_forced", "blocks": [0, 1], "kept": 5, "forced": [2]},
+            {"kind": "join_forced", "blocks": [0, 1], "kept": [5], "forced": [2]},
+            {"kind": "forbidden_via_forced", "vertex": 0, "forced_step": 0,
+             "witnesses": [None]},
+        ],
+        ids=["survivors", "witnesses", "kept", "kept-part", "witness-type"],
+    )
+    def test_certificate_step_field_not_an_int_array(self, step):
+        data = json.dumps({"version": 1, "steps": [step], "conclusion": 0})
+        with pytest.raises(ParseError, match="array"):
+            parse_certificate(data)
+
+    def test_certificate_steps_not_an_array(self):
+        with pytest.raises(ParseError, match="steps must be an array"):
+            parse_certificate(b'{"version": 1, "steps": 5, "conclusion": 0}')
+
 
 class TestCertificateSerialization:
     def test_round_trip_and_replay(self):

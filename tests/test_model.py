@@ -40,6 +40,13 @@ def test_partition_invariants_enforced():
         PartitionedInstance(2, [Block(0, ())], [])
 
 
+@pytest.mark.parametrize("ids", [(1, 0), (0, 2)], ids=["out-of-order", "out-of-range"])
+def test_block_ids_must_equal_positions(ids):
+    blocks = [Block(id=ids[0], members=(0,)), Block(id=ids[1], members=(1,))]
+    with pytest.raises(InstanceError, match="dense and ordered"):
+        PartitionedInstance(2, blocks, [])
+
+
 def test_block_degree_edgeless_is_zero():
     inst = make_instance(2, [[0, 1], [2, 3]], [])
     assert block_degree(inst, 0) == 0

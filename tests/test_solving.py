@@ -271,8 +271,8 @@ class TestFindTransversal:
 
     def test_deterministic_repeat_runs(self):
         inst = make_instance(2, [[0, 1], [2, 3], [4, 5]], [(0, 2), (1, 4)])
-        a = find_transversal(inst, deterministic=True)
-        b = find_transversal(inst, deterministic=True)
+        a = find_transversal(inst)
+        b = find_transversal(inst)
         assert a.assignment == b.assignment
         assert a.nodes_explored == b.nodes_explored
 
