@@ -753,7 +753,8 @@ def build_star_counterexample(k: int) -> PartitionedInstance:
     inst = acc.finish({"builder": "stars", "k": str(k)})
     # Incidence check: the center block meets k^3 = (k^2)^2 / k edges and
     # every leaf block meets k = k^2 / k edges.
-    assert len(inst.edges) == k**3
+    if len(inst.edges) != k**3:
+        raise AssertionError(f"stars k={k} built {len(inst.edges)} edges, not k^3")
     return inst
 
 

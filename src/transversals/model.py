@@ -213,7 +213,13 @@ class InstanceMetrics:
 def is_stretched(instance: PartitionedInstance, edge: Sequence[int]) -> bool:
     """True iff the edge's endpoints lie in pairwise distinct blocks."""
     tup = tuple(sorted(edge))
-    if tup not in set(instance.edges):
+    incident = instance.incident_edges()
+    first = tup[0] if tup else -1
+    if not (
+        isinstance(first, int)
+        and 0 <= first < len(incident)
+        and any(instance.edges[i] == tup for i in incident[first])
+    ):
         raise ForeignEdgeError(f"edge {tup} does not belong to this instance")
     return _edge_is_stretched(instance, tup)
 

@@ -148,8 +148,8 @@ def _run_floor_recurrence(t: int, delta: Fraction, start: int) -> list[int]:
             )
         # Floor-loss guard from the width condition: the next ratio still
         # clears (1/4 + delta/2) / (1 - n_j/t) whenever the cap at t did not fire.
-        if nxt < t:
-            assert Fraction(nxt, t) >= (Fraction(1, 4) + delta / 2) / (1 - Fraction(nj, t))
+        if nxt < t and Fraction(nxt, t) < (Fraction(1, 4) + delta / 2) / (1 - Fraction(nj, t)):
+            raise AssertionError(f"floor loss broke the width condition at n_j={nj}")
         values.append(nxt)
     return values
 
@@ -229,7 +229,8 @@ def hypergraph_grade_sequence(t: int, r: int, epsilon: Fraction) -> HypergraphGr
             )
         if nxt < t and nj > 0:
             # Growth-rate guarantee used by the grade-count bound.
-            assert Fraction(nxt, t) >= (1 + delta / 2) * Fraction(nj, t), (nj, nxt)
+            if Fraction(nxt, t) < (1 + delta / 2) * Fraction(nj, t):
+                raise AssertionError(f"grade growth too slow: n_j={nj}, n_j+1={nxt}")
         values.append(nxt)
 
     if values[1] * 2 < epsilon * t:
@@ -250,9 +251,24 @@ def hypergraph_grade_sequence(t: int, r: int, epsilon: Fraction) -> HypergraphGr
 
 
 def grade_count_bound(epsilon: Fraction) -> int:
-    """ceil(log_{1+eps/3}(2/eps + 2)) + 2, the guaranteed grade-count cap."""
-    eps = float(epsilon)
-    return math.ceil(math.log(2 / eps + 2, 1 + eps / 3)) + 2
+    """ceil(log_{1+eps/3}(2/eps + 2)) + 2, the guaranteed grade-count cap:
+    k + 2 for the least k with (1 + eps/3)^k >= 2/eps + 2, found exactly."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    base = 1 + epsilon / 3
+    target = 2 / epsilon + 2  # > 1, so k = 0 falls short
+    # Doubling, then bisection: O(log k) exact powers instead of k products.
+    short, enough = 0, 1
+    while base**enough < target:
+        short, enough = enough, 2 * enough
+    while enough - short > 1:
+        mid = (short + enough) // 2
+        if base**mid < target:
+            short = mid
+        else:
+            enough = mid
+    return enough + 2
 
 
 # -- validation ---------------------------------------------------------------

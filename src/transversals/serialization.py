@@ -72,7 +72,7 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
     if version != INSTANCE_VERSION:
         raise ParseError(f"unsupported instance version {version!r}")
     r = obj.get("r")
-    if not isinstance(r, int):
+    if not _is_int(r):
         raise ParseError(f"invalid uniformity {r!r}")
 
     raw_blocks = obj.get("blocks")
@@ -85,21 +85,24 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
         loc = f"block {i}"
         if not isinstance(raw, dict):
             raise ParseError("block entry must be an object", location=loc)
+        block_id = raw.get("id")
+        if not _is_int(block_id):
+            raise ParseError(f"invalid block id {block_id!r}", location=loc)
         grade = raw.get("grade")
-        if grade is not None and (not isinstance(grade, int) or grade < 1):
+        if grade is not None and (not _is_int(grade) or grade < 1):
             raise ParseError(f"invalid grade {grade!r}", location=loc)
         entries = raw.get("vertices", [])
         if not isinstance(entries, list):
             raise ParseError("vertices must be an array", location=loc)
         start = len(ids)
         for entry in entries:
-            if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
+            if not isinstance(entry, dict) or type(entry.get("id")) is not int:
                 raise ParseError("vertex entry must be an object with an id", location=loc)
             ids.append(entry["id"])
             roles.append(entry.get("role"))
         blocks.append(
             Block(
-                id=raw.get("id"),
+                id=block_id,
                 members=tuple(ids[start:]),
                 grade=grade,
                 padding=bool(raw.get("padding", False)),
@@ -110,7 +113,7 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
     if not isinstance(raw_edges, list):
         raise ParseError("edges must be an array")
     for i, raw in enumerate(raw_edges):
-        if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+        if not isinstance(raw, list) or not all(type(v) is int for v in raw):
             raise ParseError("edge must be an array of vertex ids", location=f"edge {i}")
 
     meta = obj.get("meta", {})
@@ -208,13 +211,13 @@ def parse_certificate(data: bytes | str) -> Certificate:
             if kind == "forced":
                 steps.append(
                     ForcedSetStep(
-                        block=raw["block"], survivors=_ints(raw["survivors"], loc)
+                        block=_int(raw["block"], loc), survivors=_ints(raw["survivors"], loc)
                     )
                 )
             elif kind == "forbidden":
                 steps.append(
                     ForbiddenStep(
-                        vertex=raw["vertex"], witnesses=_ints(raw["witnesses"], loc)
+                        vertex=_int(raw["vertex"], loc), witnesses=_ints(raw["witnesses"], loc)
                     )
                 )
             elif kind == "join_forced":
@@ -231,8 +234,8 @@ def parse_certificate(data: bytes | str) -> Certificate:
             elif kind == "forbidden_via_forced":
                 steps.append(
                     ForbiddenViaForcedStep(
-                        vertex=raw["vertex"],
-                        forced_step=raw["forced_step"],
+                        vertex=_int(raw["vertex"], loc),
+                        forced_step=_int(raw["forced_step"], loc),
                         witnesses=_ints(raw["witnesses"], loc),
                     )
                 )
@@ -241,13 +244,25 @@ def parse_certificate(data: bytes | str) -> Certificate:
         except KeyError as exc:
             raise ParseError(f"step missing field {exc}", location=loc) from exc
     conclusion = obj.get("conclusion")
-    if not isinstance(conclusion, int):
+    if not _is_int(conclusion):
         raise ParseError(f"invalid conclusion {conclusion!r}")
     return Certificate(steps=tuple(steps), conclusion=conclusion)
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only.  ``true`` and ``false`` parse to ``bool``, an
+    ``int`` subclass, hence ``type(...) is int`` here and in the loops."""
+    return type(value) is int
+
+
+def _int(value: Any, loc: str) -> int:
+    if not _is_int(value):
+        raise ParseError(f"expected an integer, got {value!r}", location=loc)
+    return value
+
+
 def _ints(value: Any, loc: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ParseError("expected an array of integers", location=loc)
     return tuple(value)
 

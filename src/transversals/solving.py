@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import CertificateError
 from .model import PartitionedInstance, thickness
@@ -107,16 +107,19 @@ class WWReport:
 
 
 class _Propagation:
-    """Shared fixpoint machinery for certification and solver pruning."""
+    """Shared fixpoint machinery for certification and solver pruning.
 
-    def __init__(
-        self,
-        inst: PartitionedInstance,
-        record: bool,
-        removed: set[int] | None = None,
-    ):
+    Every vertex marked forbidden is pushed on ``trail``, and :meth:`undo`
+    rewinds the counters to an earlier trail length.  The exact search keeps
+    one state this way instead of rebuilding it at every node (trailing, as
+    in Schulte, *Comparing Trailing and Copying for Constraint Programming*,
+    ICLP 1999).
+    """
+
+    def __init__(self, inst: PartitionedInstance, record: bool):
         self.inst = inst
         self.r = inst.r
+        self.block_of = block_of = inst._block_of
         n = inst.num_vertices
         self.forbidden = bytearray(n)
         self.surv_count = [b.size for b in inst.blocks]
@@ -124,26 +127,27 @@ class _Propagation:
         self.steps: list[Step] = []
         self.emitted: dict[int, tuple[int, ...]] = {}
         self.emptied: int | None = None
-        self.queue: deque[int] = deque()
-        self.queued = bytearray(n)
+        self.queue: deque[int] = deque(range(n))
+        self.queued = bytearray(b"\x01") * n
+        self.trail: list[int] = []
         self._edge_set: set[tuple[int, ...]] | None = None
 
+        touch: list[set[int]] = [set() for _ in range(inst.num_blocks)]
         if self.r == 2:
-            adj = inst.adjacency()
-            self.count: list[dict[int, int]] = [dict() for _ in range(n)]
-            touch: list[set[int]] = [set() for _ in range(inst.num_blocks)]
+            self.adj = adj = inst.adjacency()
+            self.count: list[dict[int, int]] = [{} for _ in range(n)]
             for v in range(n):
-                bv = inst.block_of(v)
+                bv = block_of[v]
+                cv = self.count[v]
                 for u in adj[v]:
-                    bu = inst.block_of(u)
+                    bu = block_of[u]
                     if bu != bv:
-                        self.count[v][bu] = self.count[v].get(bu, 0) + 1
+                        cv[bu] = cv.get(bu, 0) + 1
                         touch[bu].add(v)
-            self.touchers = [sorted(s) for s in touch]
         else:
+            self.incident = inst.incident_edges()
             self.edge_dead = [0] * len(inst.edges)
-            self.sig_live: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n)]
-            touch = [set() for _ in range(inst.num_blocks)]
+            self.sig_live: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
             for e in inst.edges:
                 for v in e:
                     sig = self._edge_signature(v, e)
@@ -152,21 +156,16 @@ class _Propagation:
                     self.sig_live[v][sig] = self.sig_live[v].get(sig, 0) + 1
                     for b in sig:
                         touch[b].add(v)
-            self.touchers = [sorted(s) for s in touch]
-
-        if removed:
-            for v in sorted(removed):
-                self._mark(v, None)
-        for v in range(n):
-            self._enqueue(v)
+        self.touchers = [sorted(s) for s in touch]
 
     # .. helpers ..
 
     def _edge_signature(self, v: int, e: tuple[int, ...]) -> tuple[int, ...] | None:
         """Witness blocks of edge e seen from v; None if unusable for the
         forbidden rule (repeated blocks or v's own block among them)."""
-        bv = self.inst.block_of(v)
-        others = sorted(self.inst.block_of(u) for u in e if u != v)
+        block_of = self.block_of
+        bv = block_of[v]
+        others = sorted(block_of[u] for u in e if u != v)
         if bv in others or len(set(others)) != len(others):
             return None
         return tuple(others)
@@ -197,59 +196,109 @@ class _Propagation:
                     self._emit_forced(b)
             self.steps.append(step)
         self.forbidden[v] = 1
-        bv = self.inst.block_of(v)
-        self.surv_count[bv] -= 1
-        if self.surv_count[bv] == 0 and self.emptied is None:
+        self.trail.append(v)
+        block_of = self.block_of
+        bv = block_of[v]
+        left = self.surv_count[bv] - 1
+        self.surv_count[bv] = left
+        if left == 0 and self.emptied is None:
             self.emptied = bv
 
+        touchers = self.touchers[bv]
         if self.r == 2:
-            for u in self.inst.adjacency()[v]:
-                if self.inst.block_of(u) != bv:
-                    self.count[u][bv] -= 1
+            count = self.count
+            for u in self.adj[v]:
+                if block_of[u] != bv:
+                    count[u][bv] -= 1
+            if not self.record:
+                # Only bv lost a survivor and the rule is monotone, so only a
+                # toucher now joined to all of bv's survivors can newly fire.
+                # Certification rechecks every toucher: its step order is the
+                # certificate's.
+                touchers = [u for u in touchers if count[u][bv] == left]
         else:
-            inc = self.inst.incident_edges()
-            for ei in inc[v]:
-                self.edge_dead[ei] += 1
-                if self.edge_dead[ei] == 1:
-                    for u in self.inst.edges[ei]:
-                        if u == v:
-                            continue
-                        sig = self._edge_signature(u, self.inst.edges[ei])
-                        if sig is not None:
-                            self.sig_live[u][sig] -= 1
-        for u in self.touchers[bv]:
+            edges = self.inst.edges
+            edge_dead = self.edge_dead
+            for ei in self.incident[v]:
+                edge_dead[ei] += 1
+                if edge_dead[ei] == 1:
+                    e = edges[ei]
+                    for u in e:
+                        if u != v:
+                            sig = self._edge_signature(u, e)
+                            if sig is not None:
+                                self.sig_live[u][sig] -= 1
+        for u in touchers:
             self._enqueue(u)
 
+    def undo(self, mark: int) -> None:
+        """Rewind every marking after the first ``mark`` trail entries and
+        empty the queue.
+
+        The state at ``mark`` must have been a fixpoint with no emptied
+        block, which is where the search branches.  Recorded steps are not
+        rewound; the search does not record.
+        """
+        trail = self.trail
+        block_of = self.block_of
+        surv_count = self.surv_count
+        while len(trail) > mark:
+            v = trail.pop()
+            self.forbidden[v] = 0
+            bv = block_of[v]
+            surv_count[bv] += 1
+            if self.r == 2:
+                count = self.count
+                for u in self.adj[v]:
+                    if block_of[u] != bv:
+                        count[u][bv] += 1
+            else:
+                edges = self.inst.edges
+                edge_dead = self.edge_dead
+                for ei in self.incident[v]:
+                    edge_dead[ei] -= 1
+                    if edge_dead[ei] == 0:
+                        e = edges[ei]
+                        for u in e:
+                            if u != v:
+                                sig = self._edge_signature(u, e)
+                                if sig is not None:
+                                    self.sig_live[u][sig] += 1
+        for v in self.queue:
+            self.queued[v] = 0
+        self.queue.clear()
+        self.emptied = None
+
     def _find_witness(self, v: int) -> tuple[int, ...] | None:
+        surv_count = self.surv_count
         if self.r == 2:
-            for b in sorted(self.count[v]):
-                c = self.surv_count[b]
-                if c > 0 and self.count[v][b] == c:
+            count = self.count[v]
+            for b in sorted(count):
+                c = surv_count[b]
+                if c > 0 and count[b] == c:
                     return (b,)
             return None
-        for sig in sorted(self.sig_live[v]):
-            live = self.sig_live[v][sig]
+        sig_live = self.sig_live[v]
+        for sig in sorted(sig_live):
+            live = sig_live[sig]
             if live == 0:
                 continue
-            need = prod(self.surv_count[b] for b in sig)
+            need = prod(surv_count[b] for b in sig)
             if need > 0 and live == need:
                 return sig
         return None
 
     def run_basic(self) -> int | None:
         """Fixpoint of the witness-block rule; returns the emptied block."""
-        while self.queue:
-            v = self.queue.popleft()
-            self.queued[v] = 0
-            if self.forbidden[v] or self.emptied is not None:
-                if self.emptied is not None:
-                    break
+        queue, queued, forbidden = self.queue, self.queued, self.forbidden
+        while queue and self.emptied is None:
+            v = queue.popleft()
+            queued[v] = 0
+            if forbidden[v]:
                 continue
             wit = self._find_witness(v)
             if wit is not None:
-                self._mark(v, ForbiddenStep(vertex=v, witnesses=wit))
-                if self.emptied is not None:
-                    break
+                self._mark(v, ForbiddenStep(vertex=v, witnesses=wit) if self.record else None)
         return self.emptied
 
     # .. complete-join phase ..
@@ -262,11 +311,12 @@ class _Propagation:
     def run_join_phase(self) -> bool:
         """One pass of the complete-join rule; True if progress was made."""
         progress = False
+        block_of = self.block_of
         by_sig: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for e in self.inst.edges:
             if any(self.forbidden[v] for v in e):
                 continue
-            blocks = tuple(sorted({self.inst.block_of(v) for v in e}))
+            blocks = tuple(sorted({block_of[v] for v in e}))
             if len(blocks) == self.r:
                 by_sig.setdefault(blocks, []).append(e)
         for sig in sorted(by_sig):
@@ -279,7 +329,7 @@ class _Propagation:
                     continue  # killed earlier in this pass
                 live_edges += 1
                 for v in e:
-                    kept[self.inst.block_of(v)].add(v)
+                    kept[block_of[v]].add(v)
             if live_edges == 0 or live_edges != prod(len(kept[b]) for b in sig):
                 continue  # the surviving join is not complete
             forced = []
@@ -352,6 +402,7 @@ class _Propagation:
         # r >= 3: group candidate edges by (candidate, witness signature),
         # looking only at edges incident to the forced set.
         per_candidate: dict[int, dict[tuple[int, ...], dict[int, int]]] = {}
+        block_of = self.block_of
         alive_set = set(alive)
         incident = self.inst.incident_edges()
         edge_ids = sorted({ei for s in alive for ei in incident[s]})
@@ -366,7 +417,7 @@ class _Propagation:
             rest = [v for v in e if v != s]
             for u in rest:
                 wit_blocks = tuple(
-                    sorted(self.inst.block_of(w) for w in rest if w != u)
+                    sorted(block_of[w] for w in rest if w != u)
                 )
                 if len(set(wit_blocks)) != self.r - 2:
                     continue
@@ -542,40 +593,51 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
 
 
 def find_transversal(instance: PartitionedInstance) -> TransversalReport:
-    """Exact backtracking search pruned by the propagation fixpoint.
+    """Exact depth-first search pruned by the propagation fixpoint.
 
-    Branches on the block with the fewest surviving candidates (ties to the
-    lowest id), vertices in ascending id order, so the search is
-    deterministic.
+    One propagation state serves the whole search: a branch forbids the
+    picked block's other members and runs the fixpoint, and backtracking
+    undoes the trail back to the branch point.  Branches on the block with
+    the fewest survivors (ties to the lowest id), trying its survivors in
+    member order, so the search is deterministic.  The stack is explicit,
+    so the depth is limited by memory, not by the recursion limit.
     """
     start = time.perf_counter()
+    prop = _Propagation(instance, record=False)
+    surv_count = prop.surv_count
+    members = [b.members for b in instance.blocks]
+
+    def branches(pick: int, candidates: tuple[int, ...]) -> Iterator[bool]:
+        mark = len(prop.trail)
+        for v in candidates:
+            prop.undo(mark)
+            for u in members[pick]:
+                if u != v:
+                    prop._mark(u, None)
+            yield True
+        prop.undo(mark)
+
+    stack: list[Iterator[bool]] = []
     nodes = 0
-
-    def search(removed: set[int]) -> dict[int, int] | None:
-        nonlocal nodes
+    assignment = None
+    while True:
         nodes += 1
-        prop = _Propagation(instance, record=False, removed=removed)
-        if prop.run_basic() is not None:
-            return None
-        surviving = [prop._survivors(b.id) for b in instance.blocks]
-        if any(not s for s in surviving):
-            return None
-        open_blocks = [b for b in range(instance.num_blocks) if len(surviving[b]) > 1]
-        if not open_blocks:
-            assignment = {b: surviving[b][0] for b in range(instance.num_blocks)}
-            if _assignment_independent(instance, assignment):
-                return assignment
-            return None
-        pick = min(open_blocks, key=lambda b: (len(surviving[b]), b))
-        for v in surviving[pick]:
-            child = set(removed)
-            child.update(u for u in instance.blocks[pick].members if u != v)
-            result = search(child)
-            if result is not None:
-                return result
-        return None
+        if prop.run_basic() is None:
+            # The open block with the fewest survivors, lowest id first; a
+            # block with none (an empty padding block) ends the branch.
+            pick = min(((c, b) for b, c in enumerate(surv_count) if c != 1), default=None)
+            if pick is None:
+                leaf = {b: prop._survivors(b)[0] for b in range(instance.num_blocks)}
+                if _assignment_independent(instance, leaf):
+                    assignment = leaf
+                    break
+            elif pick[0] > 0:
+                stack.append(branches(pick[1], prop._survivors(pick[1])))
+        while stack and not next(stack[-1], False):
+            stack.pop()
+        if not stack:
+            break
 
-    assignment = search(set())
     wall = time.perf_counter() - start
     if assignment is None:
         return TransversalReport(
@@ -603,7 +665,9 @@ def count_transversals(
     Pruning is forward checking only (a chosen vertex eliminates its
     neighbors for r=2 and completes partial edges for r >= 3), deliberately
     sharing nothing with the propagation engine so counts are an independent
-    oracle.  With ``cap`` the search stops once the count exceeds it.
+    oracle.  With ``cap`` the search stops once the count exceeds it.  The
+    stack is explicit, so the depth is limited by memory, not by the
+    recursion limit.
     """
     start = time.perf_counter()
     nodes = 0
@@ -611,33 +675,22 @@ def count_transversals(
     count = 0
     num_blocks = instance.num_blocks
     edges = instance.edges
+    block_of = instance._block_of
     if instance.r == 2:
         adjacency = instance.adjacency()
 
-    class _Abort(Exception):
-        pass
+    State = tuple[list[tuple[int, ...]], dict[int, int]]
 
-    def recurse(survivors: list[tuple[int, ...]], chosen: dict[int, int]) -> None:
-        nonlocal nodes, count
-        nodes += 1
-        if any(not s for s in survivors):
-            return
-        if len(chosen) == num_blocks:
-            count += 1
-            if cap is not None and count > cap:
-                raise _Abort()
-            return
-        pick = min(
-            (b for b in range(num_blocks) if b not in chosen),
-            key=lambda b: (len(survivors[b]), b),
-        )
+    def children(survivors: list[tuple[int, ...]], chosen: dict[int, int]) -> Iterator[State]:
+        """The picked block's choices that pass forward checking, in order."""
+        pick = min((len(survivors[b]), b) for b in range(num_blocks) if b not in chosen)[1]
         for v in survivors[pick]:
             child = list(survivors)
             child[pick] = (v,)
             new_chosen = dict(chosen)
             new_chosen[pick] = v
             if instance.r == 2:
-                banned = {u for u in adjacency[v] if instance.block_of(u) != pick}
+                banned = {u for u in adjacency[v] if block_of[u] != pick}
                 ok = True
                 for b in range(num_blocks):
                     if b in new_chosen:
@@ -659,20 +712,34 @@ def count_transversals(
                         break
                     if len(unchosen) == 1:
                         u = unchosen[0]
-                        bu = instance.block_of(u)
+                        bu = block_of[u]
                         if bu not in new_chosen:
                             banned_per_block.setdefault(bu, set()).add(u)
                 if not ok:
                     continue
                 for b, banned in banned_per_block.items():
                     child[b] = tuple(x for x in child[b] if x not in banned)
-            recurse(child, new_chosen)
+            yield child, new_chosen
 
-    survivors = [tuple(b.members) for b in instance.blocks]
-    try:
-        recurse(survivors, {})
-    except _Abort:
-        aborted = True
+    root: State = ([tuple(b.members) for b in instance.blocks], {})
+    stack: list[Iterator[State]] = [iter([root])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        survivors, chosen = state
+        nodes += 1
+        if any(not s for s in survivors):
+            continue
+        if len(chosen) == num_blocks:
+            count += 1
+            if cap is not None and count > cap:
+                aborted = True
+                break
+            continue
+        stack.append(children(survivors, chosen))
+
     wall = time.perf_counter() - start
     if aborted:
         return TransversalReport(

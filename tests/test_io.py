@@ -152,6 +152,50 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="array"):
             parse_certificate(data)
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("vertex-id", "vertex entry"),
+            ("edge-entry", "edge must be an array"),
+            ("block-id", "invalid block id"),
+            ("grade", "invalid grade"),
+            ("r", "invalid uniformity"),
+        ],
+    )
+    def test_boolean_is_not_an_int(self, where, message):
+        # JSON true/false are ints to Python (True == 1): each would parse
+        # to a different instance than the file shows
+        obj = self._base_obj()
+        if where == "vertex-id":
+            obj["blocks"][0]["vertices"][1]["id"] = True
+        elif where == "edge-entry":
+            obj["edges"][0][0] = False
+        elif where == "block-id":
+            obj["blocks"][1]["id"] = True
+        elif where == "grade":
+            obj["blocks"][0]["grade"] = True
+        else:
+            obj["r"] = True
+        with pytest.raises(ParseError, match=message):
+            parse_instance(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "step, conclusion",
+        [
+            ({"kind": "forced", "block": 0, "survivors": [True]}, 0),
+            ({"kind": "forced", "block": False, "survivors": [1]}, 0),
+            ({"kind": "forbidden", "vertex": True, "witnesses": [1]}, 0),
+            ({"kind": "forbidden_via_forced", "vertex": 0, "forced_step": False,
+              "witnesses": []}, 0),
+            ({"kind": "forced", "block": 0, "survivors": [1]}, True),
+        ],
+        ids=["survivor", "block", "vertex", "forced-step", "conclusion"],
+    )
+    def test_certificate_boolean_is_not_an_int(self, step, conclusion):
+        data = json.dumps({"version": 1, "steps": [step], "conclusion": conclusion})
+        with pytest.raises(ParseError):
+            parse_certificate(data)
+
     def test_certificate_steps_not_an_array(self):
         with pytest.raises(ParseError, match="steps must be an array"):
             parse_certificate(b'{"version": 1, "steps": 5, "conclusion": 0}')

@@ -121,8 +121,12 @@ def test_is_stretched():
     inst = make_instance(3, [[0, 1], [2, 3], [4, 5]], [(0, 2, 4), (0, 1, 2)])
     assert is_stretched(inst, (0, 2, 4))
     assert not is_stretched(inst, (0, 1, 2))
-    with pytest.raises(ForeignEdgeError):
-        is_stretched(inst, (1, 3, 5))
+    assert is_stretched(inst, (4, 2, 0))
+    # foreign: no such edge, an edge through a real edge's first vertex,
+    # unknown or negative ids, no vertices at all
+    for edge in [(1, 3, 5), (0, 2, 5), (5, 6, 7), (-1, 0, 2), ()]:
+        with pytest.raises(ForeignEdgeError):
+            is_stretched(inst, edge)
 
 
 def test_is_forest():

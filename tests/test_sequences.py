@@ -186,6 +186,30 @@ class TestHypergraphSequence:
             cap = math.ceil(math.log(2 / float(eps) + 2, 1 + float(eps) / 3)) + 2
             assert len(seq.values) <= cap
 
+    @pytest.mark.parametrize(
+        "eps, bound",
+        [
+            (Fraction(1, 2), 14),
+            (Fraction(1, 4), 31),
+            (Fraction(1, 10), 97),
+            (Fraction(1, 20), 229),
+            (Fraction(1, 100), 1598),
+        ],
+    )
+    def test_grade_count_bound_exact(self, eps, bound):
+        from transversals.sequences import grade_count_bound
+
+        assert grade_count_bound(eps) == bound
+        # least k with (1 + eps/3)^k >= 2/eps + 2, plus 2
+        k = bound - 2
+        assert (1 + eps / 3) ** k >= 2 / eps + 2 > (1 + eps / 3) ** (k - 1)
+
+    def test_grade_count_bound_needs_positive_epsilon(self):
+        from transversals.sequences import grade_count_bound
+
+        with pytest.raises(ParameterError):
+            grade_count_bound(Fraction(0))
+
 
 class TestMobiusOrbit:
     def test_quarter_follows_closed_form(self):

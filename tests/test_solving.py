@@ -34,6 +34,36 @@ def seq_of(t, values):
     return GradeSequence.from_values(t, values)
 
 
+def chain(n):
+    """n two-vertex blocks {2b, 2b+1} with an edge from 2b+1 to 2b+2: the
+    independent transversals read low...low, high...high, so there are n+1."""
+    blocks = [[2 * b, 2 * b + 1] for b in range(n)]
+    return make_instance(2, blocks, [(2 * b + 1, 2 * b + 2) for b in range(n - 1)])
+
+
+def is_independent_transversal(inst, assignment):
+    """One member of every block, and no edge inside the chosen set."""
+    if sorted(assignment) != list(range(inst.num_blocks)):
+        return False
+    if any(v not in inst.blocks[b].members for b, v in assignment.items()):
+        return False
+    chosen = set(assignment.values())
+    return not any(all(u in chosen for u in e) for e in inst.edges)
+
+
+def random_3_uniform(rng, num_edges):
+    """Eight blocks of three vertices, num_edges random stretched triples."""
+    blocks = [[3 * b, 3 * b + 1, 3 * b + 2] for b in range(8)]
+    pool = [
+        (u, v, w)
+        for u in range(24)
+        for v in range(u + 1, 24)
+        for w in range(v + 1, 24)
+        if len({u // 3, v // 3, w // 3}) == 3
+    ]
+    return make_instance(3, blocks, sorted(rng.sample(pool, num_edges)))
+
+
 class TestPropagateCertificate:
     def test_two_grade_forest_trace(self):
         inst = build_forest(3, seq_of(3, [0, 3]))
@@ -284,6 +314,72 @@ class TestFindTransversal:
         assert report.outcome == "found"
         assert set(report.assignment) == {0, 1, 2, 3, 4}
 
+    def test_long_chain_needs_no_recursion(self):
+        # one search level per block: 1200 levels would overflow a
+        # recursive search
+        inst = chain(1200)
+        report = find_transversal(inst)
+        assert report.outcome == "found"
+        assert report.nodes_explored == 1201
+        assert is_independent_transversal(inst, report.assignment)
+
+    # (outcome, nodes_explored, chosen vertex per block), as found by the
+    # search that rebuilt the propagation at every node; the incremental
+    # search must branch and prune exactly as it did
+    R2_PINNED = [
+        ("none_exhaustive", 5, None),
+        ("found", 17, [0, 3, 7, 9, 12, 15, 18, 21, 25, 28, 30, 33, 37, 40, 44, 45, 48, 51, 54, 57]),
+        ("found", 24, [2, 3, 6, 10, 12, 17, 18, 21, 25, 28, 30, 35, 36, 39, 42, 45, 50, 51, 56, 57]),
+        ("found", 14, [0, 3, 8, 10, 12, 16, 18, 22, 24, 27, 32, 33, 38, 40, 44, 47, 50, 52, 55, 57]),
+        ("found", 16, [0, 4, 6, 9, 12, 15, 20, 21, 25, 27, 30, 35, 36, 39, 44, 45, 49, 51, 55, 57]),
+        ("found", 13, [0, 3, 6, 9, 13, 15, 18, 21, 25, 29, 30, 34, 37, 39, 42, 46, 49, 53, 56, 57]),
+        ("found", 12, [0, 4, 7, 9, 13, 15, 18, 23, 24, 27, 30, 34, 37, 41, 42, 46, 48, 51, 55, 57]),
+        ("found", 15, [0, 3, 6, 10, 12, 15, 20, 21, 24, 27, 32, 33, 36, 39, 42, 46, 49, 52, 55, 59]),
+        ("found", 18, [0, 4, 6, 9, 12, 15, 19, 23, 24, 27, 30, 33, 36, 39, 43, 46, 49, 52, 55, 57]),
+        ("found", 15, [0, 4, 8, 10, 12, 16, 19, 21, 24, 29, 31, 33, 36, 40, 42, 45, 50, 51, 54, 57]),
+    ]
+
+    def test_pinned_r2_searches(self):
+        rng = random.Random(20261018)
+        for outcome, nodes, chosen in self.R2_PINNED:
+            inst = random_capped_degree_instance(3, 20, rng, cap=6)
+            report = find_transversal(inst)
+            assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+            if chosen is not None:
+                assert report.assignment == dict(enumerate(chosen))
+
+    @pytest.mark.parametrize(
+        "num_edges, outcome, nodes, chosen",
+        [
+            (150, "found", 18, [1, 4, 6, 9, 14, 16, 18, 23]),
+            (250, "none_exhaustive", 15, None),
+        ],
+    )
+    def test_pinned_r3_searches(self, num_edges, outcome, nodes, chosen):
+        inst = random_3_uniform(random.Random(7), num_edges)
+        report = find_transversal(inst)
+        assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+        if chosen is not None:
+            assert report.assignment == dict(enumerate(chosen))
+
+    def test_agrees_with_counter_on_deeper_searches(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for i in range(30):
+            if i % 3:
+                inst = random_capped_degree_instance(3, rng.randrange(6, 16), rng, cap=5)
+            else:
+                inst = random_3_uniform(rng, rng.randrange(120, 260))
+            report = find_transversal(inst)
+            exists = count_transversals(inst, cap=1).outcome == "aborted" or (
+                count_transversals(inst).count > 0
+            )
+            assert (report.outcome == "found") == exists
+            if report.outcome == "found":
+                assert is_independent_transversal(inst, report.assignment)
+            outcomes.add(report.outcome)
+        assert outcomes == {"found", "none_exhaustive"}
+
     def test_haxell_regime_always_found(self, rng):
         # t-thick with maximum degree at most t/2: a transversal must exist
         failures = 0
@@ -324,6 +420,13 @@ class TestCountTransversals:
         inst = make_instance(2, [[0, 1], [2, 3]], [(0, 2)])
         report = count_transversals(inst, cap=100)
         assert report.outcome == "count" and report.count == 3
+
+    def test_chain_count(self):
+        assert count_transversals(chain(50)).count == 51
+
+    def test_long_chain_cap_aborts_without_recursion(self):
+        report = count_transversals(chain(1200), cap=1)
+        assert report.outcome == "aborted"
 
     def test_r3_counting(self):
         inst = make_instance(3, [[0, 1], [2, 3], [4, 5]], [(0, 2, 4)])
