@@ -115,6 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="exact search for one transversal")
     solve.add_argument("instance", type=Path)
+    solve.add_argument(
+        "--max-nodes",
+        type=int,
+        help="stop after this many search nodes with the outcome 'aborted'",
+    )
     solve.set_defaults(func=_cmd_solve)
 
     count = sub.add_parser("count", help="exhaustively count transversals")
@@ -232,7 +237,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
-    report = find_transversal(instance)
+    report = find_transversal(instance, max_nodes=args.max_nodes)
     out = {
         "outcome": report.outcome,
         "assignment": None

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Union
 
-from .errors import CertificateError
+from .errors import CertificateError, ParameterError
 from .model import PartitionedInstance, thickness
 from .sequences import threshold_constant
 
@@ -592,7 +592,9 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
 # -- exact search -----------------------------------------------------------------
 
 
-def find_transversal(instance: PartitionedInstance) -> TransversalReport:
+def find_transversal(
+    instance: PartitionedInstance, max_nodes: int | None = None
+) -> TransversalReport:
     """Exact depth-first search pruned by the propagation fixpoint.
 
     One propagation state serves the whole search: a branch forbids the
@@ -601,7 +603,12 @@ def find_transversal(instance: PartitionedInstance) -> TransversalReport:
     the fewest survivors (ties to the lowest id), trying its survivors in
     member order, so the search is deterministic.  The stack is explicit,
     so the depth is limited by memory, not by the recursion limit.
+
+    ``max_nodes`` (at least 0) bounds the search: a search that would
+    explore more nodes stops after that many with the outcome ``aborted``.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise ParameterError(f"max_nodes must be at least 0, got {max_nodes}")
     start = time.perf_counter()
     prop = _Propagation(instance, record=False)
     surv_count = prop.surv_count
@@ -620,7 +627,11 @@ def find_transversal(instance: PartitionedInstance) -> TransversalReport:
     stack: list[Iterator[bool]] = []
     nodes = 0
     assignment = None
+    aborted = False
     while True:
+        if nodes == max_nodes:
+            aborted = True
+            break
         nodes += 1
         if prop.run_basic() is None:
             # The open block with the fewest survivors, lowest id first; a
@@ -639,6 +650,8 @@ def find_transversal(instance: PartitionedInstance) -> TransversalReport:
             break
 
     wall = time.perf_counter() - start
+    if aborted:
+        return TransversalReport(outcome="aborted", nodes_explored=nodes, wall_time=wall)
     if assignment is None:
         return TransversalReport(
             outcome="none_exhaustive", nodes_explored=nodes, wall_time=wall
@@ -662,86 +675,109 @@ def count_transversals(
 ) -> TransversalReport:
     """Exhaustively count independent transversals by plain backtracking.
 
-    Pruning is forward checking only (a chosen vertex eliminates its
-    neighbors for r=2 and completes partial edges for r >= 3), deliberately
-    sharing nothing with the propagation engine so counts are an independent
-    oracle.  With ``cap`` the search stops once the count exceeds it.  The
-    stack is explicit, so the depth is limited by memory, not by the
-    recursion limit.
+    Pruning is forward checking only: for r=2 a chosen vertex bans its
+    neighbours in the unchosen blocks, and for r >= 3 it bans the last
+    unchosen vertex of each incident edge whose other vertices are all
+    chosen.  It deliberately shares nothing with the propagation engine, so
+    counts are an independent oracle.  One state serves the whole search:
+    every ban goes on a trail, and backtracking lifts the bans back to the
+    branch point instead of copying every block's survivors at each child.
+    A vertex left among an unchosen block's survivors is never adjacent to
+    a chosen vertex, because choosing that vertex banned it.  The search
+    branches on the unchosen block with the fewest survivors (ties
+    to the lowest id), trying its survivors in member order.  With ``cap``
+    (at least 0) the search stops once the count exceeds it.  The stack is
+    explicit, so the depth is limited by memory, not by the recursion limit.
     """
+    if cap is not None and cap < 0:
+        raise ParameterError(f"cap must be at least 0, got {cap}")
     start = time.perf_counter()
-    nodes = 0
-    aborted = False
-    count = 0
+    r = instance.r
     num_blocks = instance.num_blocks
-    edges = instance.edges
     block_of = instance._block_of
-    if instance.r == 2:
+    members = [b.members for b in instance.blocks]
+    if r == 2:
         adjacency = instance.adjacency()
+    else:
+        edges = instance.edges
+        incident = instance.incident_edges()
+    banned = bytearray(instance.num_vertices)
+    survivors = [len(m) for m in members]
+    emptied = survivors.count(0)  # unchosen blocks without survivors
+    # Added to a chosen block's survivor count, so that the smallest count
+    # (the first of equals, the lowest id) belongs to an unchosen block.
+    closed = instance.num_vertices + 1
+    chosen = [-1] * num_blocks  # the chosen vertex of each block, -1 if unchosen
+    trail: list[int] = []  # banned vertices, in ban order
 
-    State = tuple[list[tuple[int, ...]], dict[int, int]]
+    def ban(u: int) -> None:
+        nonlocal emptied
+        banned[u] = 1
+        trail.append(u)
+        bu = block_of[u]
+        survivors[bu] -= 1
+        if survivors[bu] == 0:
+            emptied += 1
 
-    def children(survivors: list[tuple[int, ...]], chosen: dict[int, int]) -> Iterator[State]:
-        """The picked block's choices that pass forward checking, in order."""
-        pick = min((len(survivors[b]), b) for b in range(num_blocks) if b not in chosen)[1]
-        for v in survivors[pick]:
-            child = list(survivors)
-            child[pick] = (v,)
-            new_chosen = dict(chosen)
-            new_chosen[pick] = v
-            if instance.r == 2:
-                banned = {u for u in adjacency[v] if block_of[u] != pick}
-                ok = True
-                for b in range(num_blocks):
-                    if b in new_chosen:
-                        if b != pick and new_chosen[b] in adjacency[v]:
-                            ok = False
-                            break
-                        continue
-                    child[b] = tuple(x for x in child[b] if x not in banned)
-                if not ok:
-                    continue
-            else:
-                image = set(new_chosen.values())
-                ok = True
-                banned_per_block: dict[int, set[int]] = {}
-                for e in edges:
-                    unchosen = [u for u in e if u not in image]
-                    if len(unchosen) == 0:
-                        ok = False
-                        break
-                    if len(unchosen) == 1:
-                        u = unchosen[0]
-                        bu = block_of[u]
-                        if bu not in new_chosen:
-                            banned_per_block.setdefault(bu, set()).add(u)
-                if not ok:
-                    continue
-                for b, banned in banned_per_block.items():
-                    child[b] = tuple(x for x in child[b] if x not in banned)
-            yield child, new_chosen
+    def choose(pick: int, v: int) -> bool:
+        """Choose v for block pick and ban what it excludes; False if v
+        would complete an edge."""
+        chosen[pick] = v
+        if r == 2:
+            for u in adjacency[v]:
+                if chosen[block_of[u]] < 0 and not banned[u]:
+                    ban(u)
+            return True
+        for ei in incident[v]:
+            unchosen = [u for u in edges[ei] if chosen[block_of[u]] != u]
+            if not unchosen:
+                return False
+            if len(unchosen) == 1:
+                u = unchosen[0]
+                if chosen[block_of[u]] < 0 and not banned[u]:
+                    ban(u)
+        return True
 
-    root: State = ([tuple(b.members) for b in instance.blocks], {})
-    stack: list[Iterator[State]] = [iter([root])]
-    while stack:
-        state = next(stack[-1], None)
-        if state is None:
-            stack.pop()
-            continue
-        survivors, chosen = state
+    nodes = count = 0
+    # frames [pick, candidates, index of the next candidate, trail mark]
+    stack: list[list] = []
+    while True:
+        # a new node: the root, or a child that passed forward checking
         nodes += 1
-        if any(not s for s in survivors):
-            continue
-        if len(chosen) == num_blocks:
-            count += 1
-            if cap is not None and count > cap:
-                aborted = True
+        if not emptied:
+            if len(stack) == num_blocks:
+                count += 1
+                if cap is not None and count > cap:
+                    break
+            else:
+                pick = survivors.index(min(survivors))
+                survivors[pick] += closed
+                candidates = [u for u in members[pick] if not banned[u]]
+                stack.append([pick, candidates, 0, len(trail)])
+        # the next child that passes forward checking, backtracking as needed
+        while stack:
+            frame = stack[-1]
+            pick, candidates, i, mark = frame
+            for u in trail[mark:]:
+                banned[u] = 0
+                bu = block_of[u]
+                survivors[bu] += 1
+                if survivors[bu] == 1:
+                    emptied -= 1
+            del trail[mark:]
+            if i == len(candidates):
+                chosen[pick] = -1
+                survivors[pick] -= closed
+                stack.pop()
+                continue
+            frame[2] = i + 1
+            if choose(pick, candidates[i]):
                 break
-            continue
-        stack.append(children(survivors, chosen))
+        else:
+            break
 
     wall = time.perf_counter() - start
-    if aborted:
+    if cap is not None and count > cap:
         return TransversalReport(
             outcome="aborted", cap=cap, nodes_explored=nodes, wall_time=wall
         )

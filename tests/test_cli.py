@@ -157,6 +157,30 @@ class TestSolveCount:
         code, stdout, _ = run(capsys, "count", str(out), "--cap", "2")
         assert json.loads(stdout)["outcome"] == "aborted"
 
+    def test_negative_cap_is_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        run(capsys, "gen", "--kind", "stars", "--k", "2", "--out", str(out))
+        code, stdout, err = run(capsys, "count", str(out), "--cap", "-1")
+        assert code == 2
+        assert stdout == ""
+        assert "cap" in err
+
+    def test_solve_node_budget(self, tmp_path, capsys):
+        out = tmp_path / "free.json"
+        out.write_text(
+            '{"version":1,"r":2,"blocks":[{"id":0,"vertices":[{"id":0},{"id":1}]},'
+            '{"id":1,"vertices":[{"id":2},{"id":3}]}],"edges":[],"meta":{}}'
+        )
+        code, stdout, _ = run(capsys, "solve", str(out), "--max-nodes", "1")
+        assert code == 0
+        assert json.loads(stdout) == {
+            "outcome": "aborted", "assignment": None, "nodes_explored": 1,
+        }
+        code, stdout, _ = run(capsys, "solve", str(out), "--max-nodes", "3")
+        assert json.loads(stdout)["outcome"] == "found"
+        code, _, err = run(capsys, "solve", str(out), "--max-nodes", "-1")
+        assert code == 2 and "max_nodes" in err
+
     def test_solve_output_is_deterministic(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         run(capsys, "gen", "--kind", "forest", "--t", "3", "--seq", "0,3",

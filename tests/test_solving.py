@@ -14,6 +14,7 @@ from transversals import (
     ForbiddenStep,
     ForcedSetStep,
     GradeSequence,
+    ParameterError,
     build_bounded_degree,
     build_forest,
     build_hypergraph,
@@ -323,6 +324,38 @@ class TestFindTransversal:
         assert report.nodes_explored == 1201
         assert is_independent_transversal(inst, report.assignment)
 
+    def test_node_budget_aborts_join_build(self):
+        # without a budget the search gives no answer here in 30 s, though
+        # propagation refutes the instance
+        inst = build_bounded_degree(14, Fraction(3, 10))
+        report = find_transversal(inst, max_nodes=50)
+        assert (report.outcome, report.nodes_explored) == ("aborted", 50)
+        assert report.assignment is None
+        assert report.wall_time < 10
+
+    def test_node_budget_is_inclusive(self):
+        # chain(50) is solved in 51 nodes: a budget of 51 is enough
+        inst = chain(50)
+        report = find_transversal(inst, max_nodes=51)
+        assert (report.outcome, report.nodes_explored) == ("found", 51)
+        assert report.assignment == find_transversal(inst).assignment
+        report = find_transversal(inst, max_nodes=50)
+        assert (report.outcome, report.nodes_explored) == ("aborted", 50)
+        # an exhaustive search that fits the budget exactly is not aborted
+        inst = make_instance(
+            2, [[0, 1], [2, 3], [4, 5]],
+            [(0, 2), (0, 5), (1, 3), (1, 4), (2, 5), (3, 4)],
+        )
+        nodes = find_transversal(inst).nodes_explored
+        assert nodes > 1
+        report = find_transversal(inst, max_nodes=nodes)
+        assert (report.outcome, report.nodes_explored) == ("none_exhaustive", nodes)
+        assert find_transversal(inst, max_nodes=nodes - 1).outcome == "aborted"
+
+    def test_negative_node_budget_rejected(self):
+        with pytest.raises(ParameterError):
+            find_transversal(chain(3), max_nodes=-1)
+
     # (outcome, nodes_explored, chosen vertex per block), as found by the
     # search that rebuilt the propagation at every node; the incremental
     # search must branch and prune exactly as it did
@@ -469,6 +502,91 @@ class TestCountTransversals:
                 assert exact == 0
             assert (find_transversal(inst).outcome == "found") == (exact > 0)
         assert certified > 0  # the sample must actually exercise the certifier
+
+    def test_negative_cap_rejected(self):
+        # a cap of -1 used to report "aborted" for any instance with a
+        # transversal: a wrong answer, not a refusal
+        with pytest.raises(ParameterError):
+            count_transversals(make_instance(2, [[0, 1]], []), cap=-1)
+
+    # (outcome, count, nodes_explored) for cap None, 1 and 3, as counted by
+    # the counter that copied every block's survivors at each child; the
+    # trail-based counter must branch and prune exactly as it did
+    R2_PINNED = [
+        (("count", 25, 56), ("aborted", None, 7), ("aborted", None, 10)),
+        (("count", 4, 21), ("aborted", None, 9), ("aborted", None, 12)),
+        (("count", 0, 7), ("count", 0, 7), ("count", 0, 7)),
+        (("count", 0, 7), ("count", 0, 7), ("count", 0, 7)),
+        (("count", 45, 112), ("aborted", None, 9), ("aborted", None, 16)),
+        (("count", 206, 369), ("aborted", None, 10), ("aborted", None, 13)),
+        (("count", 189, 398), ("aborted", None, 10), ("aborted", None, 21)),
+        (("count", 0, 8), ("count", 0, 8), ("count", 0, 8)),
+        (("count", 0, 3), ("count", 0, 3), ("count", 0, 3)),
+        (("count", 0, 7), ("count", 0, 7), ("count", 0, 7)),
+    ]
+    R3_PINNED = [
+        (("count", 1, 51), ("count", 1, 51), ("count", 1, 51)),
+        (("count", 21, 197), ("aborted", None, 29), ("aborted", None, 32)),
+        (("count", 186, 527), ("aborted", None, 12), ("aborted", None, 17)),
+        (("count", 1, 41), ("count", 1, 41), ("count", 1, 41)),
+    ]
+
+    @staticmethod
+    def _counts(inst):
+        return tuple(
+            (report.outcome, report.count, report.nodes_explored)
+            for report in (count_transversals(inst, cap=cap) for cap in (None, 1, 3))
+        )
+
+    def test_pinned_r2_counts(self):
+        rng = random.Random(20261019)
+        for pinned in self.R2_PINNED:
+            t, n, cap = rng.choice((2, 3)), rng.randrange(5, 10), rng.randrange(2, 6)
+            inst = random_capped_degree_instance(t, n, rng, cap=cap)
+            assert self._counts(inst) == pinned
+
+    def test_pinned_r3_counts(self):
+        rng = random.Random(20261020)
+        for pinned in self.R3_PINNED:
+            inst = random_3_uniform(rng, rng.randrange(60, 260))
+            assert self._counts(inst) == pinned
+
+    @pytest.mark.parametrize(
+        "build, count, nodes",
+        [
+            (lambda: build_forest(5, seq_of(5, [0, 1, 2, 5])), 0, 1326),
+            (lambda: build_hypergraph(3, 3, sequence_override=[0, 3]), 0, 409),
+            (lambda: chain(200), 201, 20301),
+        ],
+    )
+    def test_pinned_uncapped_counts(self, build, count, nodes):
+        report = count_transversals(build())
+        assert (report.outcome, report.count, report.nodes_explored) == (
+            "count", count, nodes,
+        )
+
+    def test_counter_shares_nothing_with_engine(self):
+        # the counter is the independent oracle for the certifier and the
+        # solver, so it may use nothing else from the solving module
+        import inspect
+
+        from transversals import solving
+
+        def names(code):
+            yield from code.co_names
+            for const in code.co_consts:
+                if inspect.iscode(const):
+                    yield from names(const)
+
+        own = {
+            name
+            for name, obj in vars(solving).items()
+            if getattr(obj, "__module__", None) == solving.__name__
+        }
+        used = set(names(solving.count_transversals.__code__))
+        assert "_Propagation" in own
+        assert used & own <= {"TransversalReport"}
+        assert "_Propagation" not in inspect.getsource(solving.count_transversals)
 
     def test_count_ignores_uncompletable_edges(self):
         # an edge with two vertices in one block can never be fully chosen
