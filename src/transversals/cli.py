@@ -1,6 +1,6 @@
 """Batch command-line interface.
 
-Subcommands: gen, metrics, certify, solve, count, export, sequence.
+Subcommands: gen, metrics, certify, verify, solve, count, export, sequence.
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 certification
 inconclusive.  All data output is deterministic; wall-clock timings go to
 stderr only.
@@ -17,6 +17,7 @@ from pathlib import Path
 from .builders import BuildRecipe, build, pad_blocks
 from .errors import (
     BuildSizeError,
+    CertificateError,
     InstanceError,
     ParameterError,
     ParseError,
@@ -32,13 +33,19 @@ from .sequences import (
 )
 from .serialization import (
     export_dot,
+    read_certificate,
     read_instance,
     serialize_certificate,
     serialize_instance,
     write_certificate,
     write_instance,
 )
-from .solving import count_transversals, find_transversal, propagate_certificate
+from .solving import (
+    check_certificate,
+    count_transversals,
+    find_transversal,
+    propagate_certificate,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,6 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify.set_defaults(func=_cmd_certify)
 
+    verify = sub.add_parser("verify", help="replay a certificate against an instance")
+    verify.add_argument("instance", type=Path)
+    verify.add_argument("certificate", type=Path)
+    verify.set_defaults(func=_cmd_verify)
+
     solve = sub.add_parser("solve", help="exact search for one transversal")
     solve.add_argument("instance", type=Path)
     solve.add_argument(
@@ -125,6 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="exhaustively count transversals")
     count.add_argument("instance", type=Path)
     count.add_argument("--cap", type=int)
+    count.add_argument(
+        "--max-nodes",
+        type=int,
+        help="stop after this many search nodes with the outcome 'aborted'",
+    )
     count.set_defaults(func=_cmd_count)
 
     export = sub.add_parser("export", help="export an instance as Graphviz DOT")
@@ -235,6 +252,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_VALIDATION
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    instance = read_instance(args.instance)
+    cert = read_certificate(args.certificate)
+    if not check_certificate(instance, cert):
+        print("error: the certificate does not replay on this instance", file=sys.stderr)
+        return EXIT_VALIDATION
+    out = {"conclusion": cert.conclusion, "steps": len(cert.steps), "valid": True}
+    print(json.dumps(out, sort_keys=True))
+    return EXIT_OK
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     report = find_transversal(instance, max_nodes=args.max_nodes)
@@ -252,7 +280,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
-    report = count_transversals(instance, cap=args.cap)
+    report = count_transversals(instance, cap=args.cap, max_nodes=args.max_nodes)
     out = {
         "outcome": report.outcome,
         "count": report.count,
@@ -332,6 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         SequenceError,
         ParseError,
         InstanceError,
+        CertificateError,
         BuildSizeError,
         FileNotFoundError,
     ) as exc:

@@ -20,7 +20,16 @@ class UniformityError(ValueError):
 
 
 class InstanceError(ValueError):
-    """A partitioned instance violates a structural invariant."""
+    """A partitioned instance violates a structural invariant.
+
+    ``location`` names the offending block or edge by its position, when
+    the violation has one; the parser passes it on to its ``ParseError``.
+    """
+
+    def __init__(self, message: str, location: str | None = None):
+        super().__init__(message if location is None else f"{message} (at {location})")
+        self.message = message
+        self.location = location
 
 
 class UnknownBlockError(LookupError):

@@ -94,27 +94,37 @@ class PartitionedInstance:
         block_of = [-1] * n
         for i, b in enumerate(self.blocks):
             if b.id != i:
-                raise InstanceError(f"block ids must be dense and ordered, got {b.id!r} at {i}")
+                raise InstanceError(
+                    f"block ids must be dense and ordered, got {b.id!r}", f"block {i}"
+                )
             if b.size == 0 and not b.padding:
-                raise InstanceError(f"block {i} is empty and not a padding block")
+                raise InstanceError(
+                    f"block {i} is empty and not a padding block", f"block {i}"
+                )
             for v in b.members:
                 if not 0 <= v < n:
-                    raise InstanceError("vertex ids must be dense (0..num_vertices-1)")
+                    raise InstanceError(
+                        "vertex ids must be dense (0..num_vertices-1)", f"block {i}"
+                    )
                 if block_of[v] >= 0:
-                    raise InstanceError(f"partition violation: vertex {v} in more than one block")
+                    raise InstanceError(
+                        f"partition violation: vertex {v} in more than one block", f"block {i}"
+                    )
                 block_of[v] = i
         self._block_of = block_of
 
         norm_edges: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
-        for e in edges:
+        for i, e in enumerate(edges):
             tup = tuple(sorted(e))
             if len(tup) != r or len(set(tup)) != r:
-                raise InstanceError(f"edge {tuple(e)} is not an array of {r} distinct vertices")
+                raise InstanceError(
+                    f"edge {tuple(e)} is not an array of {r} distinct vertices", f"edge {i}"
+                )
             if tup[0] < 0 or tup[-1] >= n:
-                raise InstanceError(f"edge {tup} references an unknown vertex")
+                raise InstanceError(f"edge {tup} references an unknown vertex", f"edge {i}")
             if tup in seen:
-                raise InstanceError(f"duplicate edge {tup}")
+                raise InstanceError(f"duplicate edge {tup}", f"edge {i}")
             seen.add(tup)
             norm_edges.append(tup)
         self.edges: tuple[tuple[int, ...], ...] = tuple(norm_edges)

@@ -131,7 +131,7 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
     try:
         return PartitionedInstance(r, blocks, raw_edges, roles=role_list, meta=meta)
     except InstanceError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(exc.message, location=exc.location) from exc
 
 
 def write_instance(instance: PartitionedInstance, path: str | Path) -> None:

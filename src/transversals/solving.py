@@ -6,7 +6,10 @@ Two independent engines:
   A vertex is forbidden when it is completely joined to the survivor tuples
   of r-1 witness blocks, or to a forced set derived from a complete join
   between survivor parts of a block tuple (the mechanism behind the
-  degree-bounded gadgets).  When a block runs out of survivors the ordered
+  degree-bounded gadgets).  Both rules read per-vertex witness tables of
+  live-edge counts, kept up to date as vertices are forbidden, so the join
+  phase never rescans the edges (residual support counting, as in Lecoutre
+  and Hemery, IJCAI 2007).  When a block runs out of survivors the ordered
   deduction log is returned as a replayable :class:`Certificate`.
 
 * :func:`find_transversal` is exact backtracking (fewest-survivors block
@@ -130,9 +133,9 @@ class _Propagation:
         self.queue: deque[int] = deque(range(n))
         self.queued = bytearray(b"\x01") * n
         self.trail: list[int] = []
-        self._edge_set: set[tuple[int, ...]] | None = None
+        self._tuples: list[tuple[int, ...]] | None = None
 
-        touch: list[set[int]] = [set() for _ in range(inst.num_blocks)]
+        touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
         if self.r == 2:
             self.adj = adj = inst.adjacency()
             self.count: list[dict[int, int]] = [{} for _ in range(n)]
@@ -143,32 +146,45 @@ class _Propagation:
                     bu = block_of[u]
                     if bu != bv:
                         cv[bu] = cv.get(bu, 0) + 1
-                        touch[bu].add(v)
+                for b in cv:
+                    touchers[b].append(v)
         else:
             self.incident = inst.incident_edges()
             self.edge_dead = [0] * len(inst.edges)
             self.sig_live: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+            sig_live = self.sig_live
+            self._last_witness_blocks: tuple = ((), {})
             for e in inst.edges:
-                for v in e:
-                    sig = self._edge_signature(v, e)
-                    if sig is None:
-                        continue
-                    self.sig_live[v][sig] = self.sig_live[v].get(sig, 0) + 1
-                    for b in sig:
-                        touch[b].add(v)
-        self.touchers = [sorted(s) for s in touch]
+                rest = self._witness_blocks(e)
+                if rest:
+                    for u in e:
+                        su = sig_live[u]
+                        sig = rest[block_of[u]]
+                        su[sig] = su.get(sig, 0) + 1
+            for v, sv in enumerate(sig_live):
+                for b in {b for sig in sv for b in sig}:
+                    touchers[b].append(v)
+        # for each block, the vertices whose witness rule reads it, in id order
+        self.touchers = touchers
 
     # .. helpers ..
 
-    def _edge_signature(self, v: int, e: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Witness blocks of edge e seen from v; None if unusable for the
-        forbidden rule (repeated blocks or v's own block among them)."""
+    def _witness_blocks(self, e: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        """Map each block of edge e to the sorted blocks of e's other
+        vertices: the witness blocks of e seen from a vertex of that block.
+        Empty if e repeats a block, which makes e unusable for the witness
+        rule from every one of its vertices.  The edges of one block tuple
+        tend to be listed together, so the last answer is kept for the next.
+        """
         block_of = self.block_of
-        bv = block_of[v]
-        others = sorted(block_of[u] for u in e if u != v)
-        if bv in others or len(set(others)) != len(others):
-            return None
-        return tuple(others)
+        blocks = tuple(sorted([block_of[u] for u in e]))
+        last, rest = self._last_witness_blocks
+        if blocks != last:
+            rest = {b: blocks[:i] + blocks[i + 1 :] for i, b in enumerate(blocks)}
+            if len(rest) != len(blocks):
+                rest = {}
+            self._last_witness_blocks = (blocks, rest)
+        return rest
 
     def _survivors(self, b: int) -> tuple[int, ...]:
         return tuple(
@@ -219,15 +235,16 @@ class _Propagation:
         else:
             edges = self.inst.edges
             edge_dead = self.edge_dead
+            sig_live = self.sig_live
             for ei in self.incident[v]:
                 edge_dead[ei] += 1
                 if edge_dead[ei] == 1:
                     e = edges[ei]
-                    for u in e:
-                        if u != v:
-                            sig = self._edge_signature(u, e)
-                            if sig is not None:
-                                self.sig_live[u][sig] -= 1
+                    rest = self._witness_blocks(e)
+                    if rest:
+                        for u in e:
+                            if u != v:
+                                sig_live[u][rest[block_of[u]]] -= 1
         for u in touchers:
             self._enqueue(u)
 
@@ -255,15 +272,16 @@ class _Propagation:
             else:
                 edges = self.inst.edges
                 edge_dead = self.edge_dead
+                sig_live = self.sig_live
                 for ei in self.incident[v]:
                     edge_dead[ei] -= 1
                     if edge_dead[ei] == 0:
                         e = edges[ei]
-                        for u in e:
-                            if u != v:
-                                sig = self._edge_signature(u, e)
-                                if sig is not None:
-                                    self.sig_live[u][sig] += 1
+                        rest = self._witness_blocks(e)
+                        if rest:
+                            for u in e:
+                                if u != v:
+                                    sig_live[u][rest[block_of[u]]] += 1
         for v in self.queue:
             self.queued[v] = 0
         self.queue.clear()
@@ -303,38 +321,61 @@ class _Propagation:
 
     # .. complete-join phase ..
 
-    def _edges_as_set(self) -> set[tuple[int, ...]]:
-        if self._edge_set is None:
-            self._edge_set = set(self.inst.edges)
-        return self._edge_set
+    def _block_tuples(self) -> list[tuple[int, ...]]:
+        """Every sorted tuple of r distinct blocks that an edge spans, in
+        sorted order; read off the witness tables' keys on first use."""
+        if self._tuples is None:
+            block_of = self.block_of
+            if self.r == 2:
+                found = {
+                    (block_of[v], b)
+                    for v, cv in enumerate(self.count)
+                    for b in cv
+                    if block_of[v] < b
+                }
+            else:
+                found = {
+                    (block_of[v], *sig)
+                    for v, sv in enumerate(self.sig_live)
+                    for sig in sv
+                    if block_of[v] < sig[0]
+                }
+            self._tuples = sorted(found)
+        return self._tuples
 
     def run_join_phase(self) -> bool:
-        """One pass of the complete-join rule; True if progress was made."""
+        """One pass of the complete-join rule; True if progress was made.
+
+        The pass reads the witness tables, not the edges.  For a block tuple
+        T and a block b in T, a surviving v in b lies on a live edge over T
+        iff its entry for T minus b (``count[v][other block]`` for r=2,
+        ``sig_live[v][T minus b]`` for r >= 3) is positive.  Those vertices
+        are b's kept part, the entries summed over one part count T's live
+        edges, and the join is complete when that count is the product of
+        the part sizes.
+        """
         progress = False
-        block_of = self.block_of
-        by_sig: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for e in self.inst.edges:
-            if any(self.forbidden[v] for v in e):
-                continue
-            blocks = tuple(sorted({block_of[v] for v in e}))
-            if len(blocks) == self.r:
-                by_sig.setdefault(blocks, []).append(e)
-        for sig in sorted(by_sig):
+        r = self.r
+        forbidden = self.forbidden
+        table = self.count if r == 2 else self.sig_live
+        for sig in self._block_tuples():
             if self.emptied is not None:
                 break
-            kept: dict[int, set[int]] = {b: set() for b in sig}
-            live_edges = 0
-            for e in by_sig[sig]:
-                if any(self.forbidden[v] for v in e):
-                    continue  # killed earlier in this pass
-                live_edges += 1
-                for v in e:
-                    kept[block_of[v]].add(v)
-            if live_edges == 0 or live_edges != prod(len(kept[b]) for b in sig):
+            kept: list[list[int]] = []
+            forced: list[int] = []
+            for i, b in enumerate(sig):
+                key = sig[1 - i] if r == 2 else sig[:i] + sig[i + 1 :]
+                part: list[int] = []
+                for v in self.inst.blocks[b].members:
+                    if not forbidden[v]:
+                        (part if table[v].get(key) else forced).append(v)
+                if not part:
+                    break  # no live edge spans the tuple
+                if i == 0:
+                    live_edges = sum(table[v][key] for v in part)
+                kept.append(part)
+            if len(kept) < r or live_edges != prod(len(part) for part in kept):
                 continue  # the surviving join is not complete
-            forced = []
-            for b in sig:
-                forced.extend(v for v in self._survivors(b) if v not in kept[b])
             if not forced:
                 continue  # would have been caught by the witness rule
             forced_t = tuple(sorted(forced))
@@ -347,18 +388,15 @@ class _Propagation:
                 self.steps.append(
                     JoinForcedStep(
                         blocks=sig,
-                        kept=tuple(tuple(sorted(kept[b])) for b in sig),
+                        kept=tuple(tuple(sorted(part)) for part in kept),
                         forced=forced_t,
                     )
                 )
                 forced_index = len(self.steps) - 1
-            else:
-                forced_index = -1
+            # Every hit stays valid while the others are marked: a hit is
+            # never a forced vertex, marking forbids only the hit, and the
+            # survivor sets it was found joined to only shrink.
             for v, witnesses in hits:
-                if self.forbidden[v]:
-                    continue
-                if not self._check_forced_join(v, forced_t, witnesses):
-                    continue  # earlier markings in this loop may stale a hit
                 step = None
                 if self.record:
                     for b in witnesses:
@@ -389,9 +427,8 @@ class _Propagation:
         hits: list[tuple[int, tuple[int, ...]]] = []
         if self.r == 2:
             tally: dict[int, int] = {}
-            adj = self.inst.adjacency()
             for s in alive:
-                for u in adj[s]:
+                for u in self.adj[s]:
                     if not self.forbidden[u]:
                         tally[u] = tally.get(u, 0) + 1
             for u in sorted(tally):
@@ -399,63 +436,41 @@ class _Propagation:
                     hits.append((u, ()))
             return hits
 
-        # r >= 3: group candidate edges by (candidate, witness signature),
-        # looking only at edges incident to the forced set.
-        per_candidate: dict[int, dict[tuple[int, ...], dict[int, int]]] = {}
-        block_of = self.block_of
+        # r >= 3: a (candidate, witness blocks) pair hits if, for every alive
+        # s, it lies on ``need`` live edges through s and no other forced
+        # vertex; distinct edges give distinct witness tuples, so that is all
+        # of them.  Filter the pairs one s at a time, until none is left.
+        block_of, surv_count = self.block_of, self.surv_count
+        edges, edge_dead, incident = self.inst.edges, self.edge_dead, self.incident
         alive_set = set(alive)
-        incident = self.inst.incident_edges()
-        edge_ids = sorted({ei for s in alive for ei in incident[s]})
-        for ei in edge_ids:
-            e = self.inst.edges[ei]
-            if any(self.forbidden[v] for v in e):
-                continue
-            in_forced = [v for v in e if v in alive_set]
-            if len(in_forced) != 1:
-                continue
-            s = in_forced[0]
-            rest = [v for v in e if v != s]
-            for u in rest:
-                wit_blocks = tuple(
-                    sorted(block_of[w] for w in rest if w != u)
-                )
-                if len(set(wit_blocks)) != self.r - 2:
-                    continue
-                table = per_candidate.setdefault(u, {}).setdefault(wit_blocks, {})
-                table[s] = table.get(s, 0) + 1
-        for u in sorted(per_candidate):
-            if self.forbidden[u]:
-                continue
-            for wit_blocks in sorted(per_candidate[u]):
-                table = per_candidate[u][wit_blocks]
-                need = prod(self.surv_count[b] for b in wit_blocks)
-                if need == 0:
-                    continue
-                if all(table.get(s, 0) == need for s in alive):
-                    hits.append((u, wit_blocks))
-                    break
-        return hits
-
-    def _check_forced_join(
-        self, v: int, forced: tuple[int, ...], witnesses: tuple[int, ...]
-    ) -> bool:
-        """Re-verify v is joined to every still-surviving forced vertex."""
-        alive = [s for s in forced if not self.forbidden[s]]
-        if not alive:
-            return False
-        edge_set = self._edges_as_set()
-        if self.r == 2:
-            return all(tuple(sorted((v, s))) in edge_set for s in alive)
-        wit_survivors = [self._survivors(b) for b in witnesses]
-        if any(not w for w in wit_survivors):
-            return False
+        pairs: set[tuple[int, tuple[int, ...]]] | None = None
         for s in alive:
-            for combo in itertools.product(*wit_survivors):
-                if len({v, s, *combo}) != self.r:
-                    return False
-                if tuple(sorted((v, s, *combo))) not in edge_set:
-                    return False
-        return True
+            met: dict[tuple[int, tuple[int, ...]], int] = {}
+            for ei in incident[s]:
+                if edge_dead[ei]:
+                    continue
+                rest = [v for v in edges[ei] if v != s]
+                if not alive_set.isdisjoint(rest):
+                    continue
+                rest_blocks = [block_of[v] for v in rest]
+                for j, u in enumerate(rest):
+                    wit_blocks = rest_blocks[:j] + rest_blocks[j + 1 :]
+                    wit_blocks.sort()
+                    key = (u, tuple(wit_blocks))
+                    if pairs is None or key in pairs:
+                        met[key] = met.get(key, 0) + 1
+            pairs = {
+                key
+                for key, c in met.items()
+                if len(set(key[1])) == self.r - 2
+                and c == prod(surv_count[b] for b in key[1])
+            }
+            if not pairs:
+                return []
+        for u, wit_blocks in sorted(pairs):
+            if not hits or hits[-1][0] != u:  # u's first witness tuple that works
+                hits.append((u, wit_blocks))
+        return hits
 
 
 # -- certification ---------------------------------------------------------------
@@ -671,7 +686,7 @@ def _assignment_independent(
 
 
 def count_transversals(
-    instance: PartitionedInstance, cap: int | None = None
+    instance: PartitionedInstance, cap: int | None = None, max_nodes: int | None = None
 ) -> TransversalReport:
     """Exhaustively count independent transversals by plain backtracking.
 
@@ -686,11 +701,16 @@ def count_transversals(
     a chosen vertex, because choosing that vertex banned it.  The search
     branches on the unchosen block with the fewest survivors (ties
     to the lowest id), trying its survivors in member order.  With ``cap``
-    (at least 0) the search stops once the count exceeds it.  The stack is
-    explicit, so the depth is limited by memory, not by the recursion limit.
+    (at least 0) the search stops once the count exceeds it, and with
+    ``max_nodes`` (at least 0) once it would explore more nodes than that,
+    as in :func:`find_transversal`; either stop gives the outcome
+    ``aborted``.  The stack is explicit, so the depth is limited by memory,
+    not by the recursion limit.
     """
     if cap is not None and cap < 0:
         raise ParameterError(f"cap must be at least 0, got {cap}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ParameterError(f"max_nodes must be at least 0, got {max_nodes}")
     start = time.perf_counter()
     r = instance.r
     num_blocks = instance.num_blocks
@@ -739,15 +759,20 @@ def count_transversals(
         return True
 
     nodes = count = 0
+    aborted = False
     # frames [pick, candidates, index of the next candidate, trail mark]
     stack: list[list] = []
     while True:
         # a new node: the root, or a child that passed forward checking
+        if nodes == max_nodes:
+            aborted = True
+            break
         nodes += 1
         if not emptied:
             if len(stack) == num_blocks:
                 count += 1
                 if cap is not None and count > cap:
+                    aborted = True
                     break
             else:
                 pick = survivors.index(min(survivors))
@@ -777,7 +802,7 @@ def count_transversals(
             break
 
     wall = time.perf_counter() - start
-    if cap is not None and count > cap:
+    if aborted:
         return TransversalReport(
             outcome="aborted", cap=cap, nodes_explored=nodes, wall_time=wall
         )
@@ -795,7 +820,8 @@ def check_ww_bound(instance: PartitionedInstance) -> WWReport:
 
     The hypothesis asks every block to meet at most c_r t^(r-1) |B| stretched
     edges (t|B|/4 for graphs).  A ``bound_violated`` outcome is a genuine
-    counterexample to the guarantee and should never occur.
+    counterexample to the guarantee and should never occur.  The count runs
+    without a cap or a node budget, so this is for small instances only.
     """
     from .model import _all_block_degrees
 

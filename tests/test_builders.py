@@ -21,6 +21,7 @@ from transversals import (
     build_local_degree,
     build_star_counterexample,
     check_certificate,
+    compute_metrics,
     hypergraph_bounded_parts,
     hypergraph_bounded_profile,
     is_forest,
@@ -34,6 +35,7 @@ from transversals import (
     serialize_instance,
     simple_sequence,
     thickness,
+    threshold_constant,
 )
 
 
@@ -268,6 +270,48 @@ def test_pair_builds_are_refuted_by_replayable_certificates(builder, t, epsilon)
     cert = propagate_certificate(inst)
     assert cert is not None
     assert check_certificate(inst, cert)
+
+
+def _ladder_build(name):
+    """One build of the benchmark ladder: the instance, its exact degree
+    profile (None if the builder has none) and its block-average bound."""
+    eps = Fraction(3, 10)
+    if name == "forest-t7":
+        seq = simple_sequence(7)
+        return build_forest(7, seq), None, (Fraction(1, 4) + seq.epsilon) * 7
+    if name == "hypergraph-t6":
+        inst = build_hypergraph(6, 3, sequence_override=(0, 1, 2, 4, 6))
+        return inst, None, (threshold_constant(3) + Fraction(inst.meta["epsilon"])) * 6**2
+    if name == "bounded-t14":
+        p = bounded_degree_profile(14, eps)
+        return build_bounded_degree(14, eps), p, (Fraction(1, 4) + eps) * 14
+    if name == "local-t14":
+        p = local_degree_profile(14, eps)
+        return build_local_degree(14, eps), p, (Fraction(1, 4) + eps) * 14
+    if name == "hbounded-t21":
+        p = hypergraph_bounded_profile(21, 3, sequence_override=(0, 3, 21))
+        inst = build_hypergraph_bounded_degree(21, 3, sequence_override=(0, 3, 21))
+        return inst, p, (threshold_constant(3) + p.epsilon) * 21**2
+    # every block of the stars meets |B|^2 / k edges, so its average is |B| / k <= k
+    return build_star_counterexample(4), None, 4
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["forest-t7", "hypergraph-t6", "bounded-t14", "local-t14", "hbounded-t21", "stars-k4"],
+)
+def test_ladder_builds_meet_their_guarantees(name):
+    # The builders do not measure what they build; this is the check that
+    # every edge is stretched, that the degree the construction bounds is
+    # the one its profile predicts, and that block averages stay in budget.
+    inst, profile, average_bound = _ladder_build(name)
+    metrics = compute_metrics(inst)
+    assert metrics.stretched_edges == len(inst.edges)
+    assert metrics.max_block_avg_degree <= average_bound
+    if name == "local-t14":
+        assert metrics.local_degree == profile.local_degree <= profile.max_degree_bound
+    elif profile is not None:
+        assert metrics.max_degree == profile.max_degree <= profile.max_degree_bound
 
 
 class TestHypergraphBoundedDegree:

@@ -1,7 +1,11 @@
 import json
+from pathlib import Path
 
 from transversals import check_certificate, read_certificate, read_instance
 from transversals.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -138,6 +142,41 @@ class TestCertify:
         assert "confirms" in err
 
 
+class TestVerify:
+    def test_golden_certificate_is_valid(self, capsys):
+        code, stdout, _ = run(
+            capsys, "verify", str(GOLDEN / "forest_t3.json"), str(GOLDEN / "forest_t3.cert.json")
+        )
+        assert code == 0
+        assert stdout == '{"conclusion": 3, "steps": 6, "valid": true}\n'
+
+    def test_tampered_certificate_fails(self, tmp_path, capsys):
+        cert = json.loads((GOLDEN / "forest_t3.cert.json").read_text())
+        cert["conclusion"] = 0  # a block that keeps its survivors
+        path = tmp_path / "tampered.cert.json"
+        path.write_text(json.dumps(cert))
+        code, stdout, err = run(capsys, "verify", str(GOLDEN / "forest_t3.json"), str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "does not replay" in err
+
+    def test_unknown_reference_is_validation_failure(self, tmp_path, capsys):
+        cert = json.loads((GOLDEN / "forest_t3.cert.json").read_text())
+        cert["conclusion"] = 99
+        path = tmp_path / "foreign.cert.json"
+        path.write_text(json.dumps(cert))
+        code, stdout, err = run(capsys, "verify", str(GOLDEN / "forest_t3.json"), str(path))
+        assert (code, stdout) == (2, "")
+        assert "unknown block id 99" in err
+
+    def test_malformed_certificate_fails(self, tmp_path, capsys):
+        path = tmp_path / "broken.cert.json"
+        path.write_text('{"version": 1, "steps": 5, "conclusion": 0}')
+        code, stdout, err = run(capsys, "verify", str(GOLDEN / "forest_t3.json"), str(path))
+        assert (code, stdout) == (2, "")
+        assert "steps must be an array" in err
+
+
 class TestSolveCount:
     def test_solve_and_count_star(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -179,6 +218,16 @@ class TestSolveCount:
         code, stdout, _ = run(capsys, "solve", str(out), "--max-nodes", "3")
         assert json.loads(stdout)["outcome"] == "found"
         code, _, err = run(capsys, "solve", str(out), "--max-nodes", "-1")
+        assert code == 2 and "max_nodes" in err
+
+    def test_count_node_budget(self, capsys):
+        golden = str(GOLDEN / "hypergraph_r3_t3.json")
+        code, stdout, _ = run(capsys, "count", golden, "--cap", "5", "--max-nodes", "300")
+        assert code == 0
+        assert json.loads(stdout) == {
+            "outcome": "aborted", "count": None, "cap": 5, "nodes_explored": 300,
+        }
+        code, _, err = run(capsys, "count", golden, "--max-nodes", "-1")
         assert code == 2 and "max_nodes" in err
 
     def test_solve_output_is_deterministic(self, tmp_path, capsys):

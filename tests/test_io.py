@@ -71,8 +71,10 @@ class TestParseErrors:
     def test_partition_violation(self):
         obj = self._base_obj()
         obj["blocks"][1]["vertices"][0]["id"] = 0
-        with pytest.raises(ParseError, match="partition violation"):
+        with pytest.raises(ParseError, match="partition violation") as err:
             parse_instance(json.dumps(obj))
+        assert err.value.location == "block 1"
+        assert str(err.value).endswith("(at block 1)")
 
     def test_version_mismatch(self):
         obj = self._base_obj()
@@ -83,21 +85,32 @@ class TestParseErrors:
     def test_duplicate_edge(self):
         obj = self._base_obj()
         obj["edges"].append([2, 0])
-        with pytest.raises(ParseError, match="duplicate edge"):
+        with pytest.raises(ParseError, match="duplicate edge") as err:
             parse_instance(json.dumps(obj))
+        assert err.value.location == "edge 1"
 
     def test_edge_arity(self):
         obj = self._base_obj()
         obj["edges"].append([0])
-        with pytest.raises(ParseError, match="array of 2"):
+        with pytest.raises(ParseError, match="array of 2") as err:
             parse_instance(json.dumps(obj))
+        assert err.value.location == "edge 1"
+
+    def test_unknown_edge_vertex(self):
+        obj = self._base_obj()
+        obj["edges"].insert(0, [1, 9])
+        with pytest.raises(ParseError, match="unknown vertex") as err:
+            parse_instance(json.dumps(obj))
+        assert err.value.location == "edge 0"
+        assert str(err.value).endswith("(at edge 0)")
 
     def test_sparse_vertex_ids(self):
         obj = self._base_obj()
         obj["blocks"][1]["vertices"][1]["id"] = 9
         obj["edges"] = []
-        with pytest.raises(ParseError, match="dense"):
+        with pytest.raises(ParseError, match="dense") as err:
             parse_instance(json.dumps(obj))
+        assert err.value.location == "block 1"
 
     def test_not_json(self):
         with pytest.raises(ParseError, match="JSON"):
@@ -122,14 +135,16 @@ class TestParseErrors:
     def test_empty_block_that_is_not_padding(self):
         obj = self._base_obj()
         obj["blocks"].append({"id": 2, "vertices": []})
-        with pytest.raises(ParseError, match="empty"):
+        with pytest.raises(ParseError, match="empty") as err:
             parse_instance(json.dumps(obj))
+        assert err.value.location == "block 2"
 
     def test_block_ids_out_of_order(self):
         obj = self._base_obj()
         obj["blocks"][0]["id"], obj["blocks"][1]["id"] = 1, 0
-        with pytest.raises(ParseError, match="dense and ordered"):
+        with pytest.raises(ParseError, match="dense and ordered") as err:
             parse_instance(json.dumps(obj))
+        assert err.value.location == "block 0"
 
     def test_certificate_top_level_not_an_object(self):
         with pytest.raises(ParseError, match="object"):

@@ -40,6 +40,20 @@ def test_partition_invariants_enforced():
         PartitionedInstance(2, [Block(0, ())], [])
 
 
+def test_violations_name_their_location():
+    with pytest.raises(InstanceError) as err:
+        make_instance(2, [[0, 1], [1, 2]], [])
+    assert err.value.location == "block 1"
+    with pytest.raises(InstanceError) as err:
+        make_instance(2, [[0, 1], [2, 3]], [(0, 2), (2, 0)])
+    assert err.value.location == "edge 1"
+    assert str(err.value) == "duplicate edge (0, 2) (at edge 1)"
+    with pytest.raises(InstanceError) as err:
+        make_instance(2, [[0, 1]], [], roles=["heavy"])
+    assert err.value.location is None
+    assert str(err.value) == "roles must cover every vertex"
+
+
 @pytest.mark.parametrize("ids", [(1, 0), (0, 2)], ids=["out-of-order", "out-of-range"])
 def test_block_ids_must_equal_positions(ids):
     blocks = [Block(id=ids[0], members=(0,)), Block(id=ids[1], members=(1,))]

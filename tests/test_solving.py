@@ -1,9 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import (
     make_instance,
+    planted_join_instance,
     random_block_capped_instance,
     random_capped_degree_instance,
 )
@@ -27,6 +30,8 @@ from transversals import (
     find_transversal,
     pad_blocks,
     propagate_certificate,
+    read_instance,
+    serialize_certificate,
     simple_sequence,
 )
 
@@ -143,6 +148,63 @@ class TestPropagateCertificate:
         cert = propagate_certificate(inst)
         assert cert is not None
         assert check_certificate(inst, cert)
+
+
+def certificate_digest(cert):
+    """The first 16 hex digits of the certificate file's sha256, or None."""
+    if cert is None:
+        return None
+    return hashlib.sha256(serialize_certificate(cert)).hexdigest()[:16]
+
+
+class TestPinnedCertificates:
+    # Digests of the certificates produced by the engine whose join phase
+    # regrouped every edge on each pass; reading the witness tables instead
+    # must keep every step, and its order, byte for byte.
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: build_bounded_degree(12, Fraction(2, 5)), "9c8325fb9b447f6e"),
+            (lambda: build_bounded_degree(14, Fraction(3, 10)), "3c5ed1a08e54d02a"),
+            (lambda: build_local_degree(12, Fraction(2, 5)), "10d82579bc0cbccc"),
+            (
+                lambda: build_hypergraph(6, 3, sequence_override=(0, 1, 2, 4, 6)),
+                "1d69ab2e37b3e202",
+            ),
+            (
+                lambda: build_hypergraph_bounded_degree(21, 3, sequence_override=(0, 3, 21)),
+                "7edcfa0a7b25a1a0",
+            ),
+        ],
+        ids=["bounded-t12", "bounded-t14", "local-t12", "hypergraph-t6", "hbounded-t21"],
+    )
+    def test_builder_certificates(self, build, digest):
+        assert certificate_digest(propagate_certificate(build())) == digest
+
+    PLANTED = {
+        2: [
+            None, None, "22ace7c7b3bbb089", None, "c5f3d37f474fef0c", "93107e66ff9f3933",
+            "3c93b2251b1a5c87", None, "62f27ba0a7a84a9b", None, "2f4a51854f99f9fc", None,
+        ],
+        3: [
+            "9f8c835b651e9d74", None, None, None, None, None,
+            "4368036511d6a30e", None, None, None, "a27d914bc85c8d44", None,
+        ],
+    }
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_planted_join_certificates(self, r):
+        rng = random.Random(20261021 + r)
+        fired = set()
+        for digest in self.PLANTED[r]:
+            inst = planted_join_instance(rng, r)
+            cert = propagate_certificate(inst)
+            assert certificate_digest(cert) == digest
+            if cert is not None:
+                assert check_certificate(inst, cert)
+                fired.update(type(step).__name__ for step in cert.steps)
+        assert {"JoinForcedStep", "ForbiddenViaForcedStep"} <= fired
 
 
 class TestCheckCertificate:
@@ -395,6 +457,47 @@ class TestFindTransversal:
         if chosen is not None:
             assert report.assignment == dict(enumerate(chosen))
 
+    # (outcome, nodes_explored, chosen vertex of each block) on planted-join
+    # and random 3-uniform instances, as found by the engine that recomputed
+    # every edge signature on each mark and undo
+    PLANTED_R3_PINNED = [
+        ("found", 15, [0, 4, 8, 12, 16, 20, 24, 28, 32, 37, 40, 47]),
+        ("none_exhaustive", 61, None),
+        ("none_exhaustive", 138, None),
+        ("found", 15, [0, 4, 8, 12, 16, 20, 25, 29, 32, 36, 40, 47]),
+        ("found", 13, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 41, 44]),
+        ("found", 13, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 45]),
+        ("found", 14, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 45]),
+        ("found", 14, [0, 4, 8, 12, 16, 20, 24, 29, 33, 37, 41, 46]),
+    ]
+    RANDOM_R3_PINNED = [
+        (270, "none_exhaustive", 12, None),
+        (266, "none_exhaustive", 11, None),
+        (192, "found", 10, [0, 3, 7, 10, 12, 17, 20, 21]),
+        (217, "found", 8, [0, 5, 7, 9, 12, 16, 19, 22]),
+        (154, "found", 8, [0, 3, 6, 9, 13, 17, 20, 22]),
+        (244, "none_exhaustive", 22, None),
+    ]
+
+    def test_pinned_planted_r3_searches(self):
+        rng = random.Random(20261023)
+        for outcome, nodes, chosen in self.PLANTED_R3_PINNED:
+            report = find_transversal(planted_join_instance(rng, 3))
+            assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+            if chosen is not None:
+                assert report.assignment == dict(enumerate(chosen))
+
+    def test_pinned_random_r3_searches(self):
+        rng = random.Random(20261024)
+        for num_edges, outcome, nodes, chosen in self.RANDOM_R3_PINNED:
+            inst = random_3_uniform(rng, rng.randrange(120, 280))
+            report = find_transversal(inst)
+            assert (len(inst.edges), report.outcome, report.nodes_explored) == (
+                num_edges, outcome, nodes,
+            )
+            if chosen is not None:
+                assert report.assignment == dict(enumerate(chosen))
+
     def test_agrees_with_counter_on_deeper_searches(self):
         rng = random.Random(31)
         outcomes = set()
@@ -508,6 +611,30 @@ class TestCountTransversals:
         # transversal: a wrong answer, not a refusal
         with pytest.raises(ParameterError):
             count_transversals(make_instance(2, [[0, 1]], []), cap=-1)
+
+    def test_node_budget_is_inclusive(self):
+        # chain(50) is counted in 1326 nodes: a budget of 1326 is enough
+        inst = chain(50)
+        report = count_transversals(inst, max_nodes=1326)
+        assert (report.outcome, report.count, report.nodes_explored) == ("count", 51, 1326)
+        report = count_transversals(inst, max_nodes=1325)
+        assert (report.outcome, report.count, report.nodes_explored) == ("aborted", None, 1325)
+        assert count_transversals(inst, max_nodes=0).nodes_explored == 0
+        # with a cap too, the budget counts nodes, not transversals
+        report = count_transversals(inst, cap=60, max_nodes=1326)
+        assert (report.outcome, report.count) == ("count", 51)
+
+    def test_node_budget_stops_refutation_search(self):
+        # without a budget, counting with cap 5 explores 10.9M nodes here,
+        # because the instance has no transversal for the cap to stop at
+        inst = read_instance(Path(__file__).parent / "golden" / "hypergraph_r3_t3.json")
+        report = count_transversals(inst, cap=5, max_nodes=2000)
+        assert (report.outcome, report.count, report.nodes_explored) == ("aborted", None, 2000)
+        assert report.wall_time < 10
+
+    def test_negative_node_budget_rejected(self):
+        with pytest.raises(ParameterError):
+            count_transversals(chain(3), max_nodes=-1)
 
     # (outcome, count, nodes_explored) for cap None, 1 and 3, as counted by
     # the counter that copied every block's survivors at each child; the
