@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import BuildSizeError, ParameterError, SequenceError
-from .model import HEAVY, LIGHT, Block, PartitionedInstance
+from .model import HEAVY, LIGHT, Block, PartitionedInstance, thickness
 from .sequences import (
     GradeSequence,
     forest_grade_sequence,
@@ -33,6 +33,7 @@ from .sequences import (
     structure_violations,
     threshold_constant,
     validate_sequence,
+    _implied_epsilon,
     _run_floor_recurrence,
 )
 
@@ -94,7 +95,8 @@ class DegreeBoundedProfile:
 
 
 class _Accum:
-    """Mutable construction state; light vertices precede heavy in a block."""
+    """Mutable construction state; light vertices precede heavy in a block.
+    Edges are kept unsorted: the instance sorts each one."""
 
     def __init__(self, r: int):
         self.r = r
@@ -121,9 +123,6 @@ class _Accum:
         self.roles.extend([LIGHT] * light + [HEAVY] * heavy)
         return lights, heavies
 
-    def add_edge(self, vertices: tuple[int, ...]) -> None:
-        self.edges.append(tuple(sorted(vertices)))
-
     def finish(self, meta: dict[str, str]) -> PartitionedInstance:
         return PartitionedInstance(self.r, self.blocks, self.edges, roles=self.roles, meta=meta)
 
@@ -135,8 +134,7 @@ Consumable = Callable[["_Accum"], Callable[[int], None]]
 
 def _product_attach(acc: _Accum, light_sets: tuple[tuple[int, ...], ...]):
     def attach(v: int) -> None:
-        for combo in itertools.product(*light_sets):
-            acc.add_edge((v, *combo))
+        acc.edges.extend((v, *combo) for combo in itertools.product(*light_sets))
 
     return attach
 
@@ -177,13 +175,11 @@ def _join_gadget(t: int, r: int, part_sizes: tuple[int, ...]) -> Consumable:
                 witness_blocks.append(lights + heavies)
             else:
                 forced.extend(lights)
-        for combo in itertools.product(*parts):
-            acc.add_edge(combo)
+        acc.edges.extend(itertools.product(*parts))
 
         def attach(v: int) -> None:
             for s in forced:
-                for xs in itertools.product(*witness_blocks):
-                    acc.add_edge((v, s, *xs))
+                acc.edges.extend((v, s, *xs) for xs in itertools.product(*witness_blocks))
 
         return attach
 
@@ -256,8 +252,7 @@ def _check_budget(pred: SizePrediction, max_cells: int | None, what: str) -> Non
     if pred.vertices > max_cells or pred.edges > max_cells:
         raise BuildSizeError(
             f"{what} would materialize {pred.blocks} blocks, {pred.vertices} "
-            f"vertices and {pred.edges} edges, beyond the budget of "
-            f"{max_cells}; the construction grows multiplicatively per grade",
+            f"vertices and {pred.edges} edges, beyond the budget of {max_cells}",
             predicted_blocks=pred.blocks,
             predicted_vertices=pred.vertices,
         )
@@ -311,12 +306,12 @@ def build_hypergraph(
     """
     values = _hypergraph_values(t, r, epsilon, sequence_override)
     if sequence_override is not None:
-        meta_eps = str(_implied_hypergraph_epsilon(t, r, values))
+        meta_eps = str(_implied_epsilon(t, r, values))
         seq_source = "override"
     else:
         meta_eps = str(Fraction(epsilon))
         seq_source = "generated"
-    inst = _build_recursive(
+    return _build_recursive(
         t,
         r,
         values,
@@ -332,10 +327,6 @@ def build_hypergraph(
             "sequence_source": seq_source,
         },
     )
-    pred = predict_size(t, r, values)
-    if pred.blocks > ((r - 1) * t) ** len(values):
-        raise AssertionError("block count exceeded ((r-1) t)^k")
-    return inst
 
 
 def _hypergraph_values(
@@ -357,14 +348,6 @@ def _hypergraph_values(
             + "; ".join(v.message for v in violations)
         )
     return values
-
-
-def _implied_hypergraph_epsilon(t: int, r: int, values: tuple[int, ...]) -> Fraction:
-    worst = max(
-        Fraction(grade_block_degree(t, r, values[j], values[j + 1]), t**r)
-        for j in range(len(values) - 1)
-    )
-    return max(worst - threshold_constant(r), Fraction(0))
 
 
 def _build_recursive(
@@ -551,13 +534,11 @@ def _build_pair_variant(
     profile: DegreeBoundedProfile, name: str, max_cells: int | None
 ) -> PartitionedInstance:
     t = profile.t
-    _check_budget(profile.prediction, max_cells, name)
-    gadget = _join_gadget(t, 2, profile.part_sizes)
     return _build_recursive(
         t,
         2,
         profile.grade_values,
-        gadget,
+        _join_gadget(t, 2, profile.part_sizes),
         profile.part_sizes,
         max_cells,
         meta={
@@ -697,32 +678,36 @@ def build_hypergraph_bounded_degree(
 # -- stars ---------------------------------------------------------------------
 
 
-def build_star_counterexample(k: int) -> PartitionedInstance:
+def build_star_counterexample(
+    k: int, max_cells: int | None = DEFAULT_MAX_CELLS
+) -> PartitionedInstance:
     """k^2 disjoint stars with k+1 vertices each: one block holds all the
     centers and each star's leaves form their own block.  Every block meets
-    exactly |B|^2 / k edges, yet no independent transversal exists."""
+    exactly |B|^2 / k edges, yet no independent transversal exists.  Builds
+    beyond ``max_cells`` vertices or edges (k^3 + k^2 and k^3) are refused."""
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
+    pred = SizePrediction(blocks=k * k + 1, vertices=k**3 + k * k, edges=k**3)
+    _check_budget(pred, max_cells, "stars")
     acc = _Accum(2)
     _, centers = acc.add_block(None, 0, k * k)
-    leaf_blocks = [acc.add_block(None, k, 0)[0] for _ in range(k * k)]
-    for center, leaves in zip(centers, leaf_blocks):
-        for leaf in leaves:
-            acc.add_edge((center, leaf))
-    inst = acc.finish({"builder": "stars", "k": str(k)})
-    # Incidence check: the center block meets k^3 = (k^2)^2 / k edges and
-    # every leaf block meets k = k^2 / k edges.
-    if len(inst.edges) != k**3:
-        raise AssertionError(f"stars k={k} built {len(inst.edges)} edges, not k^3")
-    return inst
+    for center in centers:
+        leaves, _ = acc.add_block(None, k, 0)
+        acc.edges.extend((center, leaf) for leaf in leaves)
+    return acc.finish({"builder": "stars", "k": str(k)})
 
 
 # -- padding -------------------------------------------------------------------
 
 
-def pad_blocks(instance: PartitionedInstance, target_n: int) -> PartitionedInstance:
+def pad_blocks(
+    instance: PartitionedInstance,
+    target_n: int,
+    max_cells: int | None = DEFAULT_MAX_CELLS,
+) -> PartitionedInstance:
     """Append padding blocks of t isolated light vertices until the instance
-    has ``target_n`` blocks.  Metrics and certificates remain valid."""
+    has ``target_n`` blocks.  Metrics and certificates remain valid.  A
+    padded instance beyond ``max_cells`` vertices or edges is refused."""
     current = instance.num_blocks
     if target_n < current:
         raise ParameterError(
@@ -731,14 +716,16 @@ def pad_blocks(instance: PartitionedInstance, target_n: int) -> PartitionedInsta
     if target_n == current:
         return instance
     t_str = instance.meta.get("t")
-    from .model import thickness
-
     t = int(t_str) if t_str is not None and t_str.isdigit() else thickness(instance)
     if t < 1:
         raise ParameterError("cannot infer a positive block size for padding")
+    nxt = instance.num_vertices
+    pred = SizePrediction(
+        blocks=target_n, vertices=nxt + (target_n - current) * t, edges=len(instance.edges)
+    )
+    _check_budget(pred, max_cells, "padding")
     blocks = list(instance.blocks)
     roles = list(instance.roles)
-    nxt = instance.num_vertices
     for b in range(current, target_n):
         members = tuple(range(nxt, nxt + t))
         nxt += t
@@ -758,7 +745,7 @@ def build(recipe: BuildRecipe, max_cells: int | None = DEFAULT_MAX_CELLS) -> Par
     if kind == "stars":
         if recipe.k_stars is None:
             raise ParameterError("stars need k")
-        return build_star_counterexample(recipe.k_stars)
+        return build_star_counterexample(recipe.k_stars, max_cells=max_cells)
     if recipe.t is None:
         raise ParameterError(f"kind {kind!r} needs t")
     t = recipe.t

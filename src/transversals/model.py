@@ -222,7 +222,10 @@ class InstanceMetrics:
 
 def is_stretched(instance: PartitionedInstance, edge: Sequence[int]) -> bool:
     """True iff the edge's endpoints lie in pairwise distinct blocks."""
-    tup = tuple(sorted(edge))
+    try:
+        tup = tuple(sorted(edge))
+    except TypeError:  # not a sequence of mutually comparable ids
+        raise ForeignEdgeError(f"edge {edge!r} does not belong to this instance") from None
     incident = instance.incident_edges()
     first = tup[0] if tup else -1
     if not (
@@ -231,12 +234,7 @@ def is_stretched(instance: PartitionedInstance, edge: Sequence[int]) -> bool:
         and any(instance.edges[i] == tup for i in incident[first])
     ):
         raise ForeignEdgeError(f"edge {tup} does not belong to this instance")
-    return _edge_is_stretched(instance, tup)
-
-
-def _edge_is_stretched(instance: PartitionedInstance, edge: tuple[int, ...]) -> bool:
-    blocks = {instance.block_of(v) for v in edge}
-    return len(blocks) == len(edge)
+    return len({instance._block_of[v] for v in tup}) == len(tup)
 
 
 def block_degree(instance: PartitionedInstance, b: int) -> int:
@@ -246,20 +244,7 @@ def block_degree(instance: PartitionedInstance, b: int) -> int:
     stretched edges intersecting the block (non-stretched edges never occur
     in built instances, and are excluded here by definition).
     """
-    blk = instance.block(b)
-    members = set(blk.members)
-    count = 0
-    if instance.r == 2:
-        for u, v in instance.edges:
-            if (u in members) != (v in members):
-                count += 1
-    else:
-        for e in instance.edges:
-            if members.isdisjoint(e):
-                continue
-            if _edge_is_stretched(instance, e):
-                count += 1
-    return count
+    return _all_block_degrees(instance)[0][instance.block(b).id]
 
 
 def _all_block_degrees(instance: PartitionedInstance) -> tuple[dict[int, int], int]:

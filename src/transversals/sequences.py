@@ -174,11 +174,21 @@ def minimal_epsilon(t: int, values: tuple[int, ...]) -> Fraction:
             f"invalid grade sequence {values}: "
             + "; ".join(v.message for v in violations)
         )
+    return _implied_epsilon(t, 2, values)
+
+
+def _implied_epsilon(t: int, r: int, values: tuple[int, ...]) -> Fraction:
+    """Smallest epsilon with every grade block's degree at most
+    (c_r + epsilon) t^r, for a structurally valid sequence.
+
+    Never negative: some step has n_j <= t/r <= n_{j+1}, and that block's
+    degree is at least (t/r)(t - t/r)^(r-1) = c_r t^r.
+    """
     worst = max(
-        Fraction(grade_block_degree(t, 2, values[j], values[j + 1]), t * t)
+        Fraction(grade_block_degree(t, r, values[j], values[j + 1]), t**r)
         for j in range(len(values) - 1)
     )
-    return worst - Fraction(1, 4)
+    return worst - threshold_constant(r)
 
 
 # -- hypergraph sequences -----------------------------------------------------
@@ -328,11 +338,6 @@ def validate_sequence(seq: AnySequence) -> list[Violation]:
                         f"exceeds c_r t^(r-1) = {c_r * t ** (r - 1)}",
                     )
                 )
-        # Sanity grid for the threshold constant: x(1-x)^(r-1) <= c_r.
-        for i in range(101):
-            x = Fraction(i, 100)
-            if x * (1 - x) ** (r - 1) > c_r:
-                out.append(Violation(i, f"threshold constant violated at x={x}"))
     else:
         budget = (Fraction(1, 4) + seq.epsilon) * t
         for j in range(len(values) - 1):

@@ -7,6 +7,7 @@ embedded, so identical inputs always produce identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -146,43 +147,10 @@ def read_instance(path: str | Path) -> PartitionedInstance:
 
 
 def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
-    steps: list[dict[str, Any]] = []
-    for step in cert.steps:
-        if isinstance(step, ForcedSetStep):
-            steps.append(
-                {"kind": "forced", "block": step.block, "survivors": list(step.survivors)}
-            )
-        elif isinstance(step, ForbiddenStep):
-            steps.append(
-                {
-                    "kind": "forbidden",
-                    "vertex": step.vertex,
-                    "witnesses": list(step.witnesses),
-                }
-            )
-        elif isinstance(step, JoinForcedStep):
-            steps.append(
-                {
-                    "kind": "join_forced",
-                    "blocks": list(step.blocks),
-                    "kept": [list(part) for part in step.kept],
-                    "forced": list(step.forced),
-                }
-            )
-        elif isinstance(step, ForbiddenViaForcedStep):
-            steps.append(
-                {
-                    "kind": "forbidden_via_forced",
-                    "vertex": step.vertex,
-                    "forced_step": step.forced_step,
-                    "witnesses": list(step.witnesses),
-                }
-            )
-        else:  # pragma: no cover - the step union is closed
-            raise ParseError(f"unknown step type {type(step).__name__}")
+    """The certificate as JSON values; tuples stand for JSON arrays."""
     return {
         "version": CERTIFICATE_VERSION,
-        "steps": steps,
+        "steps": [{"kind": _KIND_OF[type(step)], **vars(step)} for step in cert.steps],
         "conclusion": cert.conclusion,
     }
 
@@ -207,40 +175,12 @@ def parse_certificate(data: bytes | str) -> Certificate:
         if not isinstance(raw, dict):
             raise ParseError("step must be an object", location=loc)
         kind = raw.get("kind")
+        entry = _STEP_KINDS.get(kind) if isinstance(kind, str) else None
+        if entry is None:
+            raise ParseError(f"unknown step kind {kind!r}", location=loc)
+        cls, fields = entry
         try:
-            if kind == "forced":
-                steps.append(
-                    ForcedSetStep(
-                        block=_int(raw["block"], loc), survivors=_ints(raw["survivors"], loc)
-                    )
-                )
-            elif kind == "forbidden":
-                steps.append(
-                    ForbiddenStep(
-                        vertex=_int(raw["vertex"], loc), witnesses=_ints(raw["witnesses"], loc)
-                    )
-                )
-            elif kind == "join_forced":
-                kept = raw["kept"]
-                if not isinstance(kept, list):
-                    raise ParseError("kept must be an array of arrays", location=loc)
-                steps.append(
-                    JoinForcedStep(
-                        blocks=_ints(raw["blocks"], loc),
-                        kept=tuple(_ints(part, loc) for part in kept),
-                        forced=_ints(raw["forced"], loc),
-                    )
-                )
-            elif kind == "forbidden_via_forced":
-                steps.append(
-                    ForbiddenViaForcedStep(
-                        vertex=_int(raw["vertex"], loc),
-                        forced_step=_int(raw["forced_step"], loc),
-                        witnesses=_ints(raw["witnesses"], loc),
-                    )
-                )
-            else:
-                raise ParseError(f"unknown step kind {kind!r}", location=loc)
+            steps.append(cls(*[parse(raw[key], loc) for key, parse in fields]))
         except KeyError as exc:
             raise ParseError(f"step missing field {exc}", location=loc) from exc
     conclusion = obj.get("conclusion")
@@ -265,6 +205,27 @@ def _ints(value: Any, loc: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ParseError("expected an array of integers", location=loc)
     return tuple(value)
+
+
+def _kept(value: Any, loc: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list):
+        raise ParseError("kept must be an array of arrays", location=loc)
+    return tuple(_ints(part, loc) for part in value)
+
+
+# The certificate step kinds: each JSON kind name, its class and a parser for
+# each of the class's fields, in field order.  A step's JSON keys are "kind"
+# and the field names.  Steps are built positionally, as parsing is hot.
+_STEP_KINDS = {
+    kind: (cls, tuple(zip((f.name for f in dataclasses.fields(cls)), parsers, strict=True)))
+    for kind, cls, parsers in [
+        ("forced", ForcedSetStep, (_int, _ints)),
+        ("forbidden", ForbiddenStep, (_int, _ints)),
+        ("join_forced", JoinForcedStep, (_ints, _kept, _ints)),
+        ("forbidden_via_forced", ForbiddenViaForcedStep, (_int, _int, _ints)),
+    ]
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _STEP_KINDS.items()}
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:

@@ -30,7 +30,7 @@ from math import prod
 from typing import Iterator, Union
 
 from .errors import CertificateError, ParameterError
-from .model import PartitionedInstance, thickness
+from .model import PartitionedInstance, _all_block_degrees, thickness
 from .sequences import threshold_constant
 
 # -- certificate steps --------------------------------------------------------
@@ -213,40 +213,49 @@ class _Propagation:
             self.steps.append(step)
         self.forbidden[v] = 1
         self.trail.append(v)
-        block_of = self.block_of
-        bv = block_of[v]
+        bv = self.block_of[v]
         left = self.surv_count[bv] - 1
         self.surv_count[bv] = left
         if left == 0 and self.emptied is None:
             self.emptied = bv
 
+        self._recount(v, -1)
         touchers = self.touchers[bv]
+        if self.r == 2 and not self.record:
+            # Only bv lost a survivor and the rule is monotone, so only a
+            # toucher now joined to all of bv's survivors can newly fire.
+            # Certification rechecks every toucher: its step order is the
+            # certificate's.
+            count = self.count
+            touchers = [u for u in touchers if count[u][bv] == left]
+        for u in touchers:
+            self._enqueue(u)
+
+    def _recount(self, v: int, delta: int) -> None:
+        """Add ``delta`` to the witness counts that v's edges give the other
+        vertices: -1 when v is forbidden, +1 when it is restored."""
+        block_of = self.block_of
+        bv = block_of[v]
         if self.r == 2:
             count = self.count
             for u in self.adj[v]:
                 if block_of[u] != bv:
-                    count[u][bv] -= 1
-            if not self.record:
-                # Only bv lost a survivor and the rule is monotone, so only a
-                # toucher now joined to all of bv's survivors can newly fire.
-                # Certification rechecks every toucher: its step order is the
-                # certificate's.
-                touchers = [u for u in touchers if count[u][bv] == left]
-        else:
-            edges = self.inst.edges
-            edge_dead = self.edge_dead
-            sig_live = self.sig_live
-            for ei in self.incident[v]:
-                edge_dead[ei] += 1
-                if edge_dead[ei] == 1:
-                    e = edges[ei]
-                    rest = self._witness_blocks(e)
-                    if rest:
-                        for u in e:
-                            if u != v:
-                                sig_live[u][rest[block_of[u]]] -= 1
-        for u in touchers:
-            self._enqueue(u)
+                    count[u][bv] += delta
+            return
+        edges = self.inst.edges
+        edge_dead = self.edge_dead
+        sig_live = self.sig_live
+        flip = 1 if delta < 0 else 0  # the dead count at which an edge dies or revives
+        for ei in self.incident[v]:
+            dead = edge_dead[ei] - delta
+            edge_dead[ei] = dead
+            if dead == flip:
+                e = edges[ei]
+                rest = self._witness_blocks(e)
+                if rest:
+                    for u in e:
+                        if u != v:
+                            sig_live[u][rest[block_of[u]]] += delta
 
     def undo(self, mark: int) -> None:
         """Rewind every marking after the first ``mark`` trail entries and
@@ -262,26 +271,8 @@ class _Propagation:
         while len(trail) > mark:
             v = trail.pop()
             self.forbidden[v] = 0
-            bv = block_of[v]
-            surv_count[bv] += 1
-            if self.r == 2:
-                count = self.count
-                for u in self.adj[v]:
-                    if block_of[u] != bv:
-                        count[u][bv] += 1
-            else:
-                edges = self.inst.edges
-                edge_dead = self.edge_dead
-                sig_live = self.sig_live
-                for ei in self.incident[v]:
-                    edge_dead[ei] -= 1
-                    if edge_dead[ei] == 0:
-                        e = edges[ei]
-                        rest = self._witness_blocks(e)
-                        if rest:
-                            for u in e:
-                                if u != v:
-                                    sig_live[u][rest[block_of[u]]] += 1
+            surv_count[block_of[v]] += 1
+            self._recount(v, 1)
         for v in self.queue:
             self.queued[v] = 0
         self.queue.clear()
@@ -739,31 +730,31 @@ def count_transversals(
         if survivors[bu] == 0:
             emptied += 1
 
-    def choose(pick: int, v: int) -> bool:
-        """Choose v for block pick and ban what it excludes; False if v
-        would complete an edge."""
+    def choose(pick: int, v: int) -> None:
+        """Choose v for block pick and ban what it excludes.
+
+        v never completes an edge: once all of an edge's other vertices are
+        chosen, the last of them has banned v, so v is no candidate.
+        """
         chosen[pick] = v
         if r == 2:
             for u in adjacency[v]:
                 if chosen[block_of[u]] < 0 and not banned[u]:
                     ban(u)
-            return True
+            return
         for ei in incident[v]:
             unchosen = [u for u in edges[ei] if chosen[block_of[u]] != u]
-            if not unchosen:
-                return False
             if len(unchosen) == 1:
                 u = unchosen[0]
                 if chosen[block_of[u]] < 0 and not banned[u]:
                     ban(u)
-        return True
 
     nodes = count = 0
     aborted = False
     # frames [pick, candidates, index of the next candidate, trail mark]
     stack: list[list] = []
     while True:
-        # a new node: the root, or a child that passed forward checking
+        # a new node: the root or a child
         if nodes == max_nodes:
             aborted = True
             break
@@ -779,7 +770,7 @@ def count_transversals(
                 survivors[pick] += closed
                 candidates = [u for u in members[pick] if not banned[u]]
                 stack.append([pick, candidates, 0, len(trail)])
-        # the next child that passes forward checking, backtracking as needed
+        # the next child, backtracking as needed
         while stack:
             frame = stack[-1]
             pick, candidates, i, mark = frame
@@ -796,8 +787,8 @@ def count_transversals(
                 stack.pop()
                 continue
             frame[2] = i + 1
-            if choose(pick, candidates[i]):
-                break
+            choose(pick, candidates[i])
+            break
         else:
             break
 
@@ -823,8 +814,6 @@ def check_ww_bound(instance: PartitionedInstance) -> WWReport:
     counterexample to the guarantee and should never occur.  The count runs
     without a cap or a node budget, so this is for small instances only.
     """
-    from .model import _all_block_degrees
-
     t = thickness(instance)
     r = instance.r
     c_r = threshold_constant(r)

@@ -192,6 +192,13 @@ class TestBuildHypergraph:
             build_hypergraph(579, 3, epsilon=Fraction(7, 100))
         assert err.value.predicted_blocks > 10**20
 
+    @pytest.mark.parametrize(
+        "t, r, values",
+        [(6, 3, (0, 1, 2, 4, 6)), (4, 4, (0, 1, 2, 3, 4)), (3, 5, (0, 1, 3))],
+    )
+    def test_block_count_at_most_r_minus_one_t_to_the_k(self, t, r, values):
+        assert predict_size(t, r, values).blocks <= ((r - 1) * t) ** len(values)
+
 
 class TestBoundedDegreeBuild:
     def test_profile_t1000(self):
@@ -378,6 +385,15 @@ class TestStars:
     def test_thickness_is_leaf_block_size(self):
         assert thickness(build_star_counterexample(4)) == 4
 
+    def test_budget(self):
+        # k = 200 would be 40,001 blocks, 8,040,000 vertices and 8M edges
+        with pytest.raises(BuildSizeError) as err:
+            build_star_counterexample(200)
+        assert (err.value.predicted_blocks, err.value.predicted_vertices) == (40_001, 8_040_000)
+        with pytest.raises(BuildSizeError):
+            build(BuildRecipe(kind="stars", k_stars=3), max_cells=35)
+        assert build(BuildRecipe(kind="stars", k_stars=3), max_cells=36).num_vertices == 36
+
 
 class TestPadBlocks:
     def test_padding_preserves_metrics(self):
@@ -396,6 +412,18 @@ class TestPadBlocks:
         inst = build_forest(3, seq_of(3, [0, 3]))
         with pytest.raises(ParameterError):
             pad_blocks(inst, 2)
+
+    def test_budget(self):
+        inst = build_forest(3, seq_of(3, [0, 3]))  # 4 blocks of 3 vertices
+        with pytest.raises(BuildSizeError) as err:
+            pad_blocks(inst, 2_000_000)
+        assert (err.value.predicted_blocks, err.value.predicted_vertices) == (
+            2_000_000,
+            6_000_000,
+        )
+        with pytest.raises(BuildSizeError):
+            pad_blocks(inst, 10, max_cells=29)
+        assert pad_blocks(inst, 10, max_cells=30).num_vertices == 30
 
 
 class TestRecipes:

@@ -79,6 +79,16 @@ class TestGen:
         assert code == 2
         assert "blocks" in err
 
+    def test_oversized_stars_and_padding_are_validation_failures(self, capsys):
+        for args in (
+            ["--kind", "stars", "--k", "200"],
+            ["--kind", "forest", "--t", "3", "--seq", "0,3", "--pad", "2000000"],
+        ):
+            code, out, err = run(capsys, "gen", *args)
+            assert code == 2
+            assert out == ""
+            assert "beyond the budget" in err
+
 
 class TestMetrics:
     def test_csv(self, tmp_path, capsys):

@@ -1,12 +1,19 @@
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import make_instance
 
 from transversals import (
+    ForbiddenStep,
+    ForbiddenViaForcedStep,
+    ForcedSetStep,
     GradeSequence,
+    JoinForcedStep,
     ParseError,
+    build_bounded_degree,
     build_forest,
     build_hypergraph,
     build_star_counterexample,
@@ -215,6 +222,24 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="steps must be an array"):
             parse_certificate(b'{"version": 1, "steps": 5, "conclusion": 0}')
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"kind": "forced", "block": 0}, "step missing field 'survivors'"),
+            ({"kind": "join_forced", "blocks": [0, 1], "forced": [2]}, "step missing field 'kept'"),
+            ({"kind": "join_forced", "blocks": [0, 1], "kept": 5, "forced": [2]},
+             "kept must be an array of arrays"),
+            ({"kind": ["forced"], "block": 0, "survivors": []}, "unknown step kind"),
+            ({"block": 0, "survivors": []}, "unknown step kind None"),
+        ],
+        ids=["missing", "missing-kept", "kept", "unhashable-kind", "no-kind"],
+    )
+    def test_certificate_step_messages(self, step, message):
+        data = json.dumps({"version": 1, "steps": [step], "conclusion": 0})
+        with pytest.raises(ParseError, match=message) as err:
+            parse_certificate(data)
+        assert err.value.location == "step 0"
+
 
 class TestCertificateSerialization:
     def test_round_trip_and_replay(self):
@@ -225,15 +250,27 @@ class TestCertificateSerialization:
         assert check_certificate(inst, back)
 
     def test_join_steps_survive_round_trip(self):
-        from fractions import Fraction
-
-        from transversals import build_bounded_degree
-
         inst = build_bounded_degree(14, Fraction(3, 10))
         cert = propagate_certificate(inst)
         back = parse_certificate(serialize_certificate(cert))
         assert back == cert
         assert check_certificate(inst, back)
+
+    def test_every_step_kind_round_trips_under_its_field_names(self):
+        cert = propagate_certificate(build_bounded_degree(12, Fraction(2, 5)))
+        data = serialize_certificate(cert)
+        assert parse_certificate(data) == cert
+        kinds = {
+            "forced": ForcedSetStep,
+            "forbidden": ForbiddenStep,
+            "join_forced": JoinForcedStep,
+            "forbidden_via_forced": ForbiddenViaForcedStep,
+        }
+        raw_steps = json.loads(data)["steps"]
+        assert {raw["kind"] for raw in raw_steps} == set(kinds)
+        for raw, step in zip(raw_steps, cert.steps):
+            assert type(step) is kinds[raw["kind"]]
+            assert set(raw) == {"kind"} | {f.name for f in dataclasses.fields(step)}
 
     def test_bad_version(self):
         with pytest.raises(ParseError, match="version"):

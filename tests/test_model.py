@@ -137,8 +137,8 @@ def test_is_stretched():
     assert not is_stretched(inst, (0, 1, 2))
     assert is_stretched(inst, (4, 2, 0))
     # foreign: no such edge, an edge through a real edge's first vertex,
-    # unknown or negative ids, no vertices at all
-    for edge in [(1, 3, 5), (0, 2, 5), (5, 6, 7), (-1, 0, 2), ()]:
+    # unknown or negative ids, no vertices at all, ids that are not ints
+    for edge in [(1, 3, 5), (0, 2, 5), (5, 6, 7), (-1, 0, 2), (), ("a", 2, 4)]:
         with pytest.raises(ForeignEdgeError):
             is_stretched(inst, edge)
 

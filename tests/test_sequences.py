@@ -169,8 +169,8 @@ class TestHypergraphSequence:
         assert err.value.minimal_t == 579
 
     def test_threshold_constant_is_max_of_map(self):
-        # x (1-x)^(r-1) peaks at x = 1/r with value c_r
-        for r in (2, 3, 4, 5):
+        # x (1-x)^(r-1) peaks at x = 1/r with value c_r (AM-GM)
+        for r in range(2, 9):
             c_r = threshold_constant(r)
             assert Fraction(1, r) * (1 - Fraction(1, r)) ** (r - 1) == c_r
             for i in range(101):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -719,6 +720,34 @@ class TestCountTransversals:
         # an edge with two vertices in one block can never be fully chosen
         inst = make_instance(3, [[0, 1, 2], [3, 4], [5, 6]], [(0, 1, 3)])
         assert count_transversals(inst).count == 3 * 2 * 2
+
+    @pytest.mark.parametrize("r, draws_per_block", [(3, 10), (4, 40)])
+    def test_agrees_with_solver_and_brute_force_on_non_stretched_edges(
+        self, r, draws_per_block
+    ):
+        # Random r-sets over blocks of two, so many edges repeat a block.
+        # Choosing a vertex never completes an edge, stretched or not: the
+        # counts equal a brute-force count over all transversals.
+        rng = random.Random(20261018 + r)
+        outcomes = set()
+        for _ in range(25):
+            nb = rng.randrange(4, 7)
+            blocks = [[2 * b, 2 * b + 1] for b in range(nb)]
+            edges = {
+                tuple(sorted(rng.sample(range(2 * nb), r)))
+                for _ in range(rng.randrange(nb, draws_per_block * nb))
+            }
+            inst = make_instance(r, blocks, sorted(edges))
+            assert any(len({v // 2 for v in e}) < r for e in inst.edges)
+            brute = sum(
+                not any(set(e) <= set(pick) for e in inst.edges)
+                for pick in itertools.product(*blocks)
+            )
+            assert count_transversals(inst).count == brute
+            outcome = find_transversal(inst).outcome
+            assert (outcome == "found") == (brute > 0)
+            outcomes.add(outcome)
+        assert outcomes == {"found", "none_exhaustive"}
 
 
 class TestWWBound:
