@@ -255,6 +255,7 @@ def _check_budget(pred: SizePrediction, max_cells: int | None, what: str) -> Non
             f"vertices and {pred.edges} edges, beyond the budget of {max_cells}",
             predicted_blocks=pred.blocks,
             predicted_vertices=pred.vertices,
+            predicted_edges=pred.edges,
         )
 
 

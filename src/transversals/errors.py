@@ -68,7 +68,10 @@ class BuildSizeError(RuntimeError):
     totals are attached so callers can report precisely what was refused.
     """
 
-    def __init__(self, message: str, predicted_blocks: int, predicted_vertices: int):
+    def __init__(
+        self, message: str, predicted_blocks: int, predicted_vertices: int, predicted_edges: int
+    ):
         super().__init__(message)
         self.predicted_blocks = predicted_blocks
         self.predicted_vertices = predicted_vertices
+        self.predicted_edges = predicted_edges

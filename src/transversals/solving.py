@@ -6,11 +6,11 @@ Two independent engines:
   A vertex is forbidden when it is completely joined to the survivor tuples
   of r-1 witness blocks, or to a forced set derived from a complete join
   between survivor parts of a block tuple (the mechanism behind the
-  degree-bounded gadgets).  Both rules read per-vertex witness tables of
-  live-edge counts, kept up to date as vertices are forbidden, so the join
-  phase never rescans the edges (residual support counting, as in Lecoutre
-  and Hemery, IJCAI 2007).  When a block runs out of survivors the ordered
-  deduction log is returned as a replayable :class:`Certificate`.
+  degree-bounded gadgets).  Both rules read live-edge counts per vertex and
+  witness block tuple (dicts for graphs, flat integer slots for hypergraphs),
+  kept up to date as vertices are forbidden, so the join phase never rescans
+  the edges (residual support counting, Lecoutre and Hemery, IJCAI 2007).
+  An emptied block ends the ordered log, a replayable :class:`Certificate`.
 
 * :func:`find_transversal` is exact backtracking (fewest-survivors block
   first) pruned by the same propagation; :func:`count_transversals` is a
@@ -121,7 +121,7 @@ class _Propagation:
 
     def __init__(self, inst: PartitionedInstance, record: bool):
         self.inst = inst
-        self.r = inst.r
+        self.r = r = inst.r
         self.block_of = block_of = inst._block_of
         n = inst.num_vertices
         self.forbidden = bytearray(n)
@@ -136,7 +136,7 @@ class _Propagation:
         self._tuples: list[tuple[int, ...]] | None = None
 
         touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
-        if self.r == 2:
+        if r == 2:
             self.adj = adj = inst.adjacency()
             self.count: list[dict[int, int]] = [{} for _ in range(n)]
             for v in range(n):
@@ -149,42 +149,49 @@ class _Propagation:
                 for b in cv:
                     touchers[b].append(v)
         else:
+            # One witness slot per (vertex, witness blocks): the sorted blocks
+            # of the other vertices of an edge.  ``live[s]`` counts the live
+            # edges behind slot s, ``slot_of[v]`` maps v's witness blocks to
+            # their slots and ``edge_slots[r*i + j]`` is the slot that vertex
+            # j of edge i feeds, or -1 if edge i repeats a block (no witness
+            # rule can use it).  ``live[-1]`` is a zero that no edge feeds.
             self.incident = inst.incident_edges()
             self.edge_dead = [0] * len(inst.edges)
-            self.sig_live: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
-            sig_live = self.sig_live
-            self._last_witness_blocks: tuple = ((), {})
-            for e in inst.edges:
-                rest = self._witness_blocks(e)
-                if rest:
-                    for u in e:
-                        su = sig_live[u]
-                        sig = rest[block_of[u]]
-                        su[sig] = su.get(sig, 0) + 1
-            for v, sv in enumerate(sig_live):
+            self.slot_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+            self.live: list[int] = []
+            self.edge_slots: list[int] = []
+            slot_of, live, edge_slots = self.slot_of, self.live, self.edge_slots
+            last = None
+            # each edge's blocks, in the order of its vertices
+            edge_blocks = zip(*(map(block_of.__getitem__, c) for c in zip(*inst.edges)))
+            for e, bl in zip(inst.edges, edge_blocks):
+                if bl != last:  # the edges of one block tuple come in runs
+                    last = bl
+                    sigs = [tuple(sorted(bl[:j] + bl[j + 1 :])) for j in range(r)]
+                    if len(set(bl)) < r:
+                        sigs = None
+                    seen: list[dict[int, int]] = [{} for _ in range(r)]  # u -> slot
+                if sigs is None:
+                    edge_slots += [-1] * r
+                    continue
+                for j, u in enumerate(e):
+                    s = seen[j].get(u)
+                    if s is None:
+                        s = seen[j][u] = slot_of[u].setdefault(sigs[j], len(live))
+                        if s == len(live):
+                            live.append(0)
+                    live[s] += 1
+                    edge_slots.append(s)
+            live.append(0)
+            # each vertex's (witness blocks, slot) pairs, in witness order
+            self.wit = [sorted(su.items()) for su in slot_of]
+            for v, sv in enumerate(slot_of):
                 for b in {b for sig in sv for b in sig}:
                     touchers[b].append(v)
         # for each block, the vertices whose witness rule reads it, in id order
         self.touchers = touchers
 
     # .. helpers ..
-
-    def _witness_blocks(self, e: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-        """Map each block of edge e to the sorted blocks of e's other
-        vertices: the witness blocks of e seen from a vertex of that block.
-        Empty if e repeats a block, which makes e unusable for the witness
-        rule from every one of its vertices.  The edges of one block tuple
-        tend to be listed together, so the last answer is kept for the next.
-        """
-        block_of = self.block_of
-        blocks = tuple(sorted([block_of[u] for u in e]))
-        last, rest = self._last_witness_blocks
-        if blocks != last:
-            rest = {b: blocks[:i] + blocks[i + 1 :] for i, b in enumerate(blocks)}
-            if len(rest) != len(blocks):
-                rest = {}
-            self._last_witness_blocks = (blocks, rest)
-        return rest
 
     def _survivors(self, b: int) -> tuple[int, ...]:
         return tuple(
@@ -233,7 +240,9 @@ class _Propagation:
 
     def _recount(self, v: int, delta: int) -> None:
         """Add ``delta`` to the witness counts that v's edges give the other
-        vertices: -1 when v is forbidden, +1 when it is restored."""
+        vertices: -1 when v is forbidden, +1 when it is restored.  For
+        r >= 3 a dying or reviving edge moves every slot it feeds, v's own
+        too, which no rule reads while v is forbidden."""
         block_of = self.block_of
         bv = block_of[v]
         if self.r == 2:
@@ -242,20 +251,19 @@ class _Propagation:
                 if block_of[u] != bv:
                     count[u][bv] += delta
             return
-        edges = self.inst.edges
+        r = self.r
         edge_dead = self.edge_dead
-        sig_live = self.sig_live
+        edge_slots = self.edge_slots
+        live = self.live
         flip = 1 if delta < 0 else 0  # the dead count at which an edge dies or revives
         for ei in self.incident[v]:
             dead = edge_dead[ei] - delta
             edge_dead[ei] = dead
             if dead == flip:
-                e = edges[ei]
-                rest = self._witness_blocks(e)
-                if rest:
-                    for u in e:
-                        if u != v:
-                            sig_live[u][rest[block_of[u]]] += delta
+                i = r * ei
+                if edge_slots[i] >= 0:
+                    for s in edge_slots[i : i + r]:
+                        live[s] += delta
 
     def undo(self, mark: int) -> None:
         """Rewind every marking after the first ``mark`` trail entries and
@@ -287,13 +295,10 @@ class _Propagation:
                 if c > 0 and count[b] == c:
                     return (b,)
             return None
-        sig_live = self.sig_live[v]
-        for sig in sorted(sig_live):
-            live = sig_live[sig]
-            if live == 0:
-                continue
-            need = prod(surv_count[b] for b in sig)
-            if need > 0 and live == need:
+        live = self.live
+        for sig, s in self.wit[v]:
+            c = live[s]
+            if c and c == prod(surv_count[b] for b in sig):
                 return sig
         return None
 
@@ -327,7 +332,7 @@ class _Propagation:
             else:
                 found = {
                     (block_of[v], *sig)
-                    for v, sv in enumerate(self.sig_live)
+                    for v, sv in enumerate(self.slot_of)
                     for sig in sv
                     if block_of[v] < sig[0]
                 }
@@ -339,16 +344,19 @@ class _Propagation:
 
         The pass reads the witness tables, not the edges.  For a block tuple
         T and a block b in T, a surviving v in b lies on a live edge over T
-        iff its entry for T minus b (``count[v][other block]`` for r=2,
-        ``sig_live[v][T minus b]`` for r >= 3) is positive.  Those vertices
-        are b's kept part, the entries summed over one part count T's live
-        edges, and the join is complete when that count is the product of
-        the part sizes.
+        iff its entry for T minus b (``count[v][other block]`` for r=2, the
+        ``live`` count of slot ``slot_of[v][T minus b]`` for r >= 3) is
+        positive.  Those vertices are b's kept part, the entries summed over
+        one part count T's live edges, and the join is complete when that
+        count is the product of the part sizes.
         """
         progress = False
         r = self.r
         forbidden = self.forbidden
-        table = self.count if r == 2 else self.sig_live
+        if r == 2:
+            count = self.count
+        else:
+            slot_of, live = self.slot_of, self.live
         for sig in self._block_tuples():
             if self.emptied is not None:
                 break
@@ -357,13 +365,19 @@ class _Propagation:
             for i, b in enumerate(sig):
                 key = sig[1 - i] if r == 2 else sig[:i] + sig[i + 1 :]
                 part: list[int] = []
+                total = 0
                 for v in self.inst.blocks[b].members:
                     if not forbidden[v]:
-                        (part if table[v].get(key) else forced).append(v)
+                        c = count[v].get(key, 0) if r == 2 else live[slot_of[v].get(key, -1)]
+                        if c:
+                            part.append(v)
+                            total += c
+                        else:
+                            forced.append(v)
                 if not part:
                     break  # no live edge spans the tuple
                 if i == 0:
-                    live_edges = sum(table[v][key] for v in part)
+                    live_edges = total
                 kept.append(part)
             if len(kept) < r or live_edges != prod(len(part) for part in kept):
                 continue  # the surviving join is not complete

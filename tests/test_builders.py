@@ -265,6 +265,17 @@ class TestLocalDegreeBuild:
         with pytest.raises(BuildSizeError):
             build_local_degree(1000, Fraction(1, 20))
 
+    def test_refusal_for_edges_carries_the_edge_count(self):
+        # t = 24 is refused for its edges alone: blocks and vertices fit
+        with pytest.raises(BuildSizeError) as err:
+            build_local_degree(24, Fraction(3, 10))
+        e = err.value
+        assert (e.predicted_blocks, e.predicted_vertices, e.predicted_edges) == (
+            94_105,
+            2_258_520,
+            8_104_896,
+        )
+
 
 @pytest.mark.parametrize("builder", [build_bounded_degree, build_local_degree])
 @pytest.mark.parametrize(
@@ -389,7 +400,12 @@ class TestStars:
         # k = 200 would be 40,001 blocks, 8,040,000 vertices and 8M edges
         with pytest.raises(BuildSizeError) as err:
             build_star_counterexample(200)
-        assert (err.value.predicted_blocks, err.value.predicted_vertices) == (40_001, 8_040_000)
+        e = err.value
+        assert (e.predicted_blocks, e.predicted_vertices, e.predicted_edges) == (
+            40_001,
+            8_040_000,
+            8_000_000,
+        )
         with pytest.raises(BuildSizeError):
             build(BuildRecipe(kind="stars", k_stars=3), max_cells=35)
         assert build(BuildRecipe(kind="stars", k_stars=3), max_cells=36).num_vertices == 36
@@ -417,9 +433,11 @@ class TestPadBlocks:
         inst = build_forest(3, seq_of(3, [0, 3]))  # 4 blocks of 3 vertices
         with pytest.raises(BuildSizeError) as err:
             pad_blocks(inst, 2_000_000)
-        assert (err.value.predicted_blocks, err.value.predicted_vertices) == (
+        e = err.value
+        assert (e.predicted_blocks, e.predicted_vertices, e.predicted_edges) == (
             2_000_000,
             6_000_000,
+            9,
         )
         with pytest.raises(BuildSizeError):
             pad_blocks(inst, 10, max_cells=29)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     make_instance,
     planted_join_instance,
@@ -35,6 +37,7 @@ from transversals import (
     serialize_certificate,
     simple_sequence,
 )
+from transversals.solving import _Propagation
 
 
 def seq_of(t, values):
@@ -192,9 +195,14 @@ class TestPinnedCertificates:
             "9f8c835b651e9d74", None, None, None, None, None,
             "4368036511d6a30e", None, None, None, "a27d914bc85c8d44", None,
         ],
+        # taken from the engine that sorted each dying edge's blocks
+        4: [
+            None, None, None, "feff07fca3d37753", "ce05a5762c3759fb", "234bda87b9f1b980",
+            None, None, "a14e9e40b278c184", "82ce869f73802d7a", None, "a54200532b0d5720",
+        ],
     }
 
-    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("r", [2, 3, 4])
     def test_planted_join_certificates(self, r):
         rng = random.Random(20261021 + r)
         fired = set()
@@ -206,6 +214,82 @@ class TestPinnedCertificates:
                 assert check_certificate(inst, cert)
                 fired.update(type(step).__name__ for step in cert.steps)
         assert {"JoinForcedStep", "ForbiddenViaForcedStep"} <= fired
+
+
+def witness_recount(prop, inst):
+    """The r >= 3 engine's witness counters recomputed from the edges: each
+    slot counts the live edges through its vertex over its witness blocks,
+    and an edge counts its forbidden vertices."""
+    r = inst.r
+    live = [0] * len(prop.live)
+    dead = []
+    for e in inst.edges:
+        dead.append(sum(prop.forbidden[u] for u in e))
+        blocks = [inst.block_of(u) for u in e]
+        if dead[-1] or len(set(blocks)) < r:
+            continue
+        for j, u in enumerate(e):
+            live[prop.slot_of[u][tuple(sorted(blocks[:j] + blocks[j + 1 :]))]] += 1
+    return live, dead
+
+
+class TestPropagationState:
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_marks_and_undo_keep_the_witness_counters_exact(self, r):
+        rng = random.Random(20261026 + r)
+        for _ in range(4):
+            inst = planted_join_instance(rng, r)
+            fresh = _Propagation(inst, record=False)
+            prop = _Propagation(inst, record=False)
+            order = rng.sample(range(inst.num_vertices), inst.num_vertices // 2)
+            half = len(order) // 2
+            for v in order[:half]:
+                prop._mark(v, None)
+            mark = len(prop.trail)
+            after_half = (list(prop.live), list(prop.edge_dead))
+            assert after_half == witness_recount(prop, inst)
+            for v in order[half:]:
+                prop._mark(v, None)
+            assert (prop.live, prop.edge_dead) == witness_recount(prop, inst)
+            prop.undo(mark)
+            assert (prop.live, prop.edge_dead) == after_half
+            prop.undo(0)
+            assert (prop.live, prop.edge_dead) == (fresh.live, fresh.edge_dead)
+            assert (prop.live, prop.edge_dead) == witness_recount(prop, inst)
+            assert (prop.forbidden, prop.surv_count) == (fresh.forbidden, fresh.surv_count)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    """r in {3, 4}, r to r + 2 blocks of one to three vertices, and up to 40
+    edges: mostly one vertex from each of r distinct blocks, the others any
+    r vertices, which may repeat a block."""
+    r = draw(st.sampled_from([3, 4]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r + 2))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+    stretched = st.lists(st.sampled_from(range(len(blocks))), min_size=r, max_size=r, unique=True)
+    stretched = stretched.flatmap(lambda bs: st.tuples(*(st.sampled_from(blocks[b]) for b in bs)))
+    loose = st.sets(st.integers(0, starts[-1] - 1), min_size=r, max_size=r)
+    edge = st.one_of(stretched, stretched, loose).map(lambda e: tuple(sorted(e)))
+    return make_instance(r, blocks, draw(st.lists(edge, max_size=40, unique=True)))
+
+
+class TestEnginesAgree:
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(small_hypergraphs())
+    def test_certificate_and_search_agree_with_the_count(self, inst):
+        count = count_transversals(inst).count
+        cert = propagate_certificate(inst)
+        if cert is not None:
+            assert check_certificate(inst, cert)
+            assert count == 0
+        report = find_transversal(inst)
+        assert (report.outcome == "found") == (count > 0)
+        if report.outcome == "found":
+            assert is_independent_transversal(inst, report.assignment)
+        else:
+            assert report.outcome == "none_exhaustive"
 
 
 class TestCheckCertificate:
@@ -484,6 +568,32 @@ class TestFindTransversal:
         rng = random.Random(20261023)
         for outcome, nodes, chosen in self.PLANTED_R3_PINNED:
             report = find_transversal(planted_join_instance(rng, 3))
+            assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+            if chosen is not None:
+                assert report.assignment == dict(enumerate(chosen))
+
+    # (outcome, nodes_explored, chosen vertex of each block) on planted-join
+    # r = 4 instances under a 1000-node budget, as found by the engine that
+    # sorted each dying edge's blocks; the fourth search needs 15,236 nodes
+    PLANTED_R4_PINNED = [
+        ("found", 16, [0, 4, 8, 12, 16, 20, 24, 28, 32, 37, 40, 44, 48, 52, 57]),
+        ("found", 18, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 59]),
+        ("found", 18, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 59]),
+        ("aborted", 1000, None),
+        ("none_exhaustive", 172, None),
+        ("none_exhaustive", 14, None),
+        ("found", 16, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56]),
+        ("found", 16, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56]),
+        ("none_exhaustive", 776, None),
+        ("none_exhaustive", 577, None),
+        ("found", 16, [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 57]),
+        ("none_exhaustive", 882, None),
+    ]
+
+    def test_pinned_planted_r4_searches(self):
+        rng = random.Random(20261025)
+        for outcome, nodes, chosen in self.PLANTED_R4_PINNED:
+            report = find_transversal(planted_join_instance(rng, 4), max_nodes=1000)
             assert (report.outcome, report.nodes_explored) == (outcome, nodes)
             if chosen is not None:
                 assert report.assignment == dict(enumerate(chosen))
