@@ -62,8 +62,14 @@ class PartitionedInstance:
     * every edge has exactly ``r`` distinct vertices, no duplicate edges,
     * for r=2 no loops (distinctness) and no parallel edges (no duplicates).
 
-    Edges are stored as sorted tuples in construction order.  Instances are
-    safe to share between threads once constructed.
+    Edges are stored as sorted tuples in construction order; an incoming
+    edge that already is a sorted plain tuple is kept, not copied, so
+    re-validating an instance shares its edge tuples.  Instances are safe to
+    share between threads once constructed.  Derived read-only tables are
+    built on first use and cached: the adjacency and incidence lists here,
+    and the propagation engine's witness index in ``_witness``, which only
+    :mod:`transversals.solving` reads.  Two threads that race on a cache
+    only build it twice.
     """
 
     __slots__ = (
@@ -75,6 +81,7 @@ class PartitionedInstance:
         "_block_of",
         "_adjacency",
         "_incident",
+        "_witness",
     )
 
     def __init__(
@@ -117,6 +124,8 @@ class PartitionedInstance:
         seen: set[tuple[int, ...]] = set()
         for i, e in enumerate(edges):
             tup = tuple(sorted(e))
+            if type(e) is tuple and e == tup:
+                tup = e
             if len(tup) != r or len(set(tup)) != r:
                 raise InstanceError(
                     f"edge {tuple(e)} is not an array of {r} distinct vertices", f"edge {i}"
@@ -142,6 +151,7 @@ class PartitionedInstance:
         self.meta: dict[str, str] = dict(meta or {})
         self._adjacency: list[list[int]] | None = None
         self._incident: list[list[int]] | None = None
+        self._witness: tuple | None = None
 
     # -- basic accessors ----------------------------------------------------
 

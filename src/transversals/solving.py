@@ -7,10 +7,11 @@ Two independent engines:
   of r-1 witness blocks, or to a forced set derived from a complete join
   between survivor parts of a block tuple (the mechanism behind the
   degree-bounded gadgets).  Both rules read live-edge counts per vertex and
-  witness block tuple (dicts for graphs, flat integer slots for hypergraphs),
-  kept up to date as vertices are forbidden, so the join phase never rescans
-  the edges (residual support counting, Lecoutre and Hemery, IJCAI 2007).
-  An emptied block ends the ordered log, a replayable :class:`Certificate`.
+  witness block tuple (dicts for graphs; flat integer slots for hypergraphs,
+  built once per instance, each engine copying only the counts), kept up to
+  date as vertices are forbidden, so the join phase never rescans the edges
+  (residual support counting, Lecoutre and Hemery, IJCAI 2007).  An emptied
+  block ends the ordered log, a replayable :class:`Certificate`.
 
 * :func:`find_transversal` is exact backtracking (fewest-survivors block
   first) pruned by the same propagation; :func:`count_transversals` is a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -109,6 +110,57 @@ class WWReport:
 # -- propagation engine ---------------------------------------------------------
 
 
+def _witness_index(inst: PartitionedInstance) -> tuple:
+    """The r >= 3 engine's static tables ``(slot_of, edge_slots, owner, live,
+    touchers, tuples)``, built in one pass over the edges on first use and
+    shared through the instance; engines copy only ``live``.  One slot per
+    (vertex, witness blocks), the sorted blocks of an edge's other vertices:
+    ``live[s]`` counts the live edges behind slot s, ``owner[s]`` is its
+    pair, and ``slot_of[v]`` maps v's witness blocks to their slots in sorted
+    order.  ``edge_slots[r*i + j]`` is the slot vertex j of edge i feeds, or
+    -1 if edge i repeats a block (no witness rule can use it); ``live[-1]``
+    is a zero that no edge feeds.  ``touchers[b]`` lists the vertices whose
+    witness rule reads block b, and ``tuples`` the sorted tuples of r
+    distinct blocks that edges span."""
+    if inst._witness is None:
+        r, block_of = inst.r, inst._block_of
+        slot_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(inst.num_vertices)]
+        live: list[int] = []
+        owner: list[tuple[int, tuple[int, ...]]] = []
+        edge_slots: list[int] = []
+        last = None
+        # each edge's blocks, in the order of its vertices
+        edge_blocks = zip(*(map(block_of.__getitem__, c) for c in zip(*inst.edges)))
+        for e, bl in zip(inst.edges, edge_blocks):
+            if bl != last:  # the edges of one block tuple come in runs
+                last = bl
+                sigs = [tuple(sorted(bl[:j] + bl[j + 1 :])) for j in range(r)]
+                if len(set(bl)) < r:
+                    sigs = None
+                seen: list[dict[int, int]] = [{} for _ in range(r)]  # u -> slot
+            if sigs is None:
+                edge_slots += [-1] * r
+                continue
+            for j, u in enumerate(e):
+                s = seen[j].get(u)
+                if s is None:
+                    s = seen[j][u] = slot_of[u].setdefault(sigs[j], len(live))
+                    if s == len(live):
+                        live.append(0)
+                        owner.append((u, sigs[j]))
+                live[s] += 1
+                edge_slots.append(s)
+        live.append(0)
+        touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
+        for v, sv in enumerate(slot_of):
+            for b in {b for sig in sv for b in sig}:
+                touchers[b].append(v)
+        tuples = sorted({(block_of[u], *sig) for u, sig in owner if block_of[u] < sig[0]})
+        slot_of = [dict(sorted(sv.items())) for sv in slot_of]
+        inst._witness = (slot_of, edge_slots, owner, live, touchers, tuples)
+    return inst._witness
+
+
 class _Propagation:
     """Shared fixpoint machinery for certification and solver pruning.
 
@@ -135,8 +187,8 @@ class _Propagation:
         self.trail: list[int] = []
         self._tuples: list[tuple[int, ...]] | None = None
 
-        touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
         if r == 2:
+            touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
             self.adj = adj = inst.adjacency()
             self.count: list[dict[int, int]] = [{} for _ in range(n)]
             for v in range(n):
@@ -149,45 +201,11 @@ class _Propagation:
                 for b in cv:
                     touchers[b].append(v)
         else:
-            # One witness slot per (vertex, witness blocks): the sorted blocks
-            # of the other vertices of an edge.  ``live[s]`` counts the live
-            # edges behind slot s, ``slot_of[v]`` maps v's witness blocks to
-            # their slots and ``edge_slots[r*i + j]`` is the slot that vertex
-            # j of edge i feeds, or -1 if edge i repeats a block (no witness
-            # rule can use it).  ``live[-1]`` is a zero that no edge feeds.
             self.incident = inst.incident_edges()
             self.edge_dead = [0] * len(inst.edges)
-            self.slot_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
-            self.live: list[int] = []
-            self.edge_slots: list[int] = []
-            slot_of, live, edge_slots = self.slot_of, self.live, self.edge_slots
-            last = None
-            # each edge's blocks, in the order of its vertices
-            edge_blocks = zip(*(map(block_of.__getitem__, c) for c in zip(*inst.edges)))
-            for e, bl in zip(inst.edges, edge_blocks):
-                if bl != last:  # the edges of one block tuple come in runs
-                    last = bl
-                    sigs = [tuple(sorted(bl[:j] + bl[j + 1 :])) for j in range(r)]
-                    if len(set(bl)) < r:
-                        sigs = None
-                    seen: list[dict[int, int]] = [{} for _ in range(r)]  # u -> slot
-                if sigs is None:
-                    edge_slots += [-1] * r
-                    continue
-                for j, u in enumerate(e):
-                    s = seen[j].get(u)
-                    if s is None:
-                        s = seen[j][u] = slot_of[u].setdefault(sigs[j], len(live))
-                        if s == len(live):
-                            live.append(0)
-                    live[s] += 1
-                    edge_slots.append(s)
-            live.append(0)
-            # each vertex's (witness blocks, slot) pairs, in witness order
-            self.wit = [sorted(su.items()) for su in slot_of]
-            for v, sv in enumerate(slot_of):
-                for b in {b for sig in sv for b in sig}:
-                    touchers[b].append(v)
+            (self.slot_of, self.edge_slots, self.owner, live, touchers,
+             self._tuples) = _witness_index(inst)
+            self.live = list(live)
         # for each block, the vertices whose witness rule reads it, in id order
         self.touchers = touchers
 
@@ -296,7 +314,7 @@ class _Propagation:
                     return (b,)
             return None
         live = self.live
-        for sig, s in self.wit[v]:
+        for sig, s in self.slot_of[v].items():
             c = live[s]
             if c and c == prod(surv_count[b] for b in sig):
                 return sig
@@ -317,35 +335,14 @@ class _Propagation:
 
     # .. complete-join phase ..
 
-    def _block_tuples(self) -> list[tuple[int, ...]]:
-        """Every sorted tuple of r distinct blocks that an edge spans, in
-        sorted order; read off the witness tables' keys on first use."""
-        if self._tuples is None:
-            block_of = self.block_of
-            if self.r == 2:
-                found = {
-                    (block_of[v], b)
-                    for v, cv in enumerate(self.count)
-                    for b in cv
-                    if block_of[v] < b
-                }
-            else:
-                found = {
-                    (block_of[v], *sig)
-                    for v, sv in enumerate(self.slot_of)
-                    for sig in sv
-                    if block_of[v] < sig[0]
-                }
-            self._tuples = sorted(found)
-        return self._tuples
-
     def run_join_phase(self) -> bool:
         """One pass of the complete-join rule; True if progress was made.
 
-        The pass reads the witness tables, not the edges.  For a block tuple
-        T and a block b in T, a surviving v in b lies on a live edge over T
-        iff its entry for T minus b (``count[v][other block]`` for r=2, the
-        ``live`` count of slot ``slot_of[v][T minus b]`` for r >= 3) is
+        The pass reads the witness tables, not the edges.  For every sorted
+        tuple T of r distinct blocks that an edge spans (listed on the first
+        pass for r=2) and every b in T, a surviving v in b lies on a live edge
+        over T iff its entry for T minus b (``count[v][other block]`` for r=2,
+        the ``live`` count of slot ``slot_of[v][T minus b]`` for r >= 3) is
         positive.  Those vertices are b's kept part, the entries summed over
         one part count T's live edges, and the join is complete when that
         count is the product of the part sizes.
@@ -354,10 +351,14 @@ class _Propagation:
         r = self.r
         forbidden = self.forbidden
         if r == 2:
-            count = self.count
+            count, block_of = self.count, self.block_of
+            if self._tuples is None:
+                self._tuples = sorted(
+                    {(block_of[v], b) for v, cv in enumerate(count) for b in cv if block_of[v] < b}
+                )
         else:
             slot_of, live = self.slot_of, self.live
-        for sig in self._block_tuples():
+        for sig in self._tuples:
             if self.emptied is not None:
                 break
             kept: list[list[int]] = []
@@ -442,32 +443,41 @@ class _Propagation:
             return hits
 
         # r >= 3: a (candidate, witness blocks) pair hits if, for every alive
-        # s, it lies on ``need`` live edges through s and no other forced
-        # vertex; distinct edges give distinct witness tuples, so that is all
-        # of them.  Filter the pairs one s at a time, until none is left.
-        block_of, surv_count = self.block_of, self.surv_count
+        # s, it lies on as many live edges through s and no other forced
+        # vertex as its witness blocks have survivor tuples; distinct edges
+        # give distinct tuples, so that is all of them.  Filter the pairs one
+        # s at a time, until none is left.  An edge over r distinct blocks
+        # feeds u's slot, whose witness blocks are the pair's plus s's block;
+        # a block-repeating edge has no slots, so its pairs are sorted here.
+        block_of, surv_count, r = self.block_of, self.surv_count, self.r
         edges, edge_dead, incident = self.inst.edges, self.edge_dead, self.incident
+        edge_slots, owner = self.edge_slots, self.owner
         alive_set = set(alive)
         pairs: set[tuple[int, tuple[int, ...]]] | None = None
         for s in alive:
+            others = alive_set - {s}
+            through = [
+                r * ei for ei in incident[s] if not edge_dead[ei] and others.isdisjoint(edges[ei])
+            ]
+            tally = Counter(itertools.chain.from_iterable(edge_slots[i : i + r] for i in through))
             met: dict[tuple[int, tuple[int, ...]], int] = {}
-            for ei in incident[s]:
-                if edge_dead[ei]:
-                    continue
-                rest = [v for v in edges[ei] if v != s]
-                if not alive_set.isdisjoint(rest):
-                    continue
-                rest_blocks = [block_of[v] for v in rest]
-                for j, u in enumerate(rest):
-                    wit_blocks = rest_blocks[:j] + rest_blocks[j + 1 :]
-                    wit_blocks.sort()
-                    key = (u, tuple(wit_blocks))
-                    if pairs is None or key in pairs:
-                        met[key] = met.get(key, 0) + 1
+            if tally.pop(-1, 0):
+                for i in through:
+                    if edge_slots[i] < 0:
+                        rest = [v for v in edges[i // r] if v != s]
+                        for u in rest:
+                            key = (u, tuple(sorted(block_of[v] for v in rest if v != u)))
+                            met[key] = met.get(key, 0) + 1
+            for slot, c in tally.items():
+                u, sig = owner[slot]
+                if u != s:  # not s's own slot
+                    k = sig.index(block_of[s])
+                    met[u, sig[:k] + sig[k + 1 :]] = c
             pairs = {
                 key
                 for key, c in met.items()
-                if len(set(key[1])) == self.r - 2
+                if (pairs is None or key in pairs)
+                and len(set(key[1])) == r - 2
                 and c == prod(surv_count[b] for b in key[1])
             }
             if not pairs:

@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,19 @@ def test_violations_name_their_location():
         make_instance(2, [[0, 1]], [], roles=["heavy"])
     assert err.value.location is None
     assert str(err.value) == "roles must cover every vertex"
+
+
+def test_sorted_tuple_edges_are_kept_and_others_copied_sorted():
+    inst = build_forest(3, GradeSequence.from_values(3, [0, 3]))
+    again = PartitionedInstance(inst.r, inst.blocks, inst.edges)
+    assert len(again.edges) == len(inst.edges) > 0
+    assert all(e is f for e, f in zip(again.edges, inst.edges))
+    Edge = namedtuple("Edge", "a b c")
+    given = [(4, 0, 2), [1, 3, 5], Edge(0, 3, 4), (1, 2, 4)]
+    inst = make_instance(3, [[0, 1], [2, 3], [4, 5]], given)
+    assert inst.edges == ((0, 2, 4), (1, 3, 5), (0, 3, 4), (1, 2, 4))
+    assert [type(e) for e in inst.edges] == [tuple] * 4
+    assert [e is f for e, f in zip(inst.edges, given)] == [False, False, False, True]
 
 
 @pytest.mark.parametrize("ids", [(1, 0), (0, 2)], ids=["out-of-order", "out-of-range"])

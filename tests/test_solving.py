@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -184,7 +185,13 @@ class TestPinnedCertificates:
         ids=["bounded-t12", "bounded-t14", "local-t12", "hypergraph-t6", "hbounded-t21"],
     )
     def test_builder_certificates(self, build, digest):
-        assert certificate_digest(propagate_certificate(build())) == digest
+        inst = build()
+        assert certificate_digest(propagate_certificate(inst)) == digest
+        if inst.r > 2:
+            # later engines read the witness index the first one built
+            assert certificate_digest(propagate_certificate(inst)) == digest
+            find_transversal(inst, max_nodes=5)
+            assert certificate_digest(propagate_certificate(inst)) == digest
 
     PLANTED = {
         2: [
@@ -258,6 +265,25 @@ class TestPropagationState:
             assert (prop.live, prop.edge_dead) == witness_recount(prop, inst)
             assert (prop.forbidden, prop.surv_count) == (fresh.forbidden, fresh.surv_count)
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_engines_on_one_instance_share_only_the_static_tables(self, r):
+        rng = random.Random(20261027 + r)
+        for _ in range(4):
+            inst = planted_join_instance(rng, r)
+            first = _Propagation(inst, record=False)
+            for v in rng.sample(range(inst.num_vertices), inst.num_vertices // 3):
+                first._mark(v, None)
+            marked = (list(first.live), list(first.edge_dead))
+            second = _Propagation(inst, record=False)
+            assert second.slot_of is first.slot_of and second.edge_slots is first.edge_slots
+            assert (second.live, second.edge_dead) == witness_recount(second, inst)
+            for v in rng.sample(range(inst.num_vertices), inst.num_vertices // 3):
+                second._mark(v, None)
+            assert (first.live, first.edge_dead) == marked
+            second.undo(0)
+            assert (first.live, first.edge_dead) == marked == witness_recount(first, inst)
+            assert (second.live, second.edge_dead) == witness_recount(second, inst)
+
 
 @st.composite
 def small_hypergraphs(draw):
@@ -275,7 +301,50 @@ def small_hypergraphs(draw):
     return make_instance(r, blocks, draw(st.lists(edge, max_size=40, unique=True)))
 
 
+def forced_set_hits_from_the_edges(prop, forced):
+    """The r >= 3 forced-set rule recomputed from the edges: for each alive
+    forced s, every live edge through s and no other alive forced vertex
+    gives each of its other vertices u the sorted blocks of the rest."""
+    alive = [s for s in forced if not prop.forbidden[s]]
+    pairs = None
+    for s in alive:
+        met = {}
+        for ei in prop.inst.incident_edges()[s]:
+            e = prop.inst.edges[ei]
+            if any(prop.forbidden[v] or (v != s and v in alive) for v in e):
+                continue
+            rest = [v for v in e if v != s]
+            for u in rest:
+                key = (u, tuple(sorted(prop.inst.block_of(v) for v in rest if v != u)))
+                met[key] = met.get(key, 0) + 1
+        pairs = {
+            key
+            for key, c in met.items()
+            if (pairs is None or key in pairs)
+            and len(set(key[1])) == prop.r - 2
+            and c == prod(prop.surv_count[b] for b in key[1])
+        }
+    hits = []
+    for u, wit_blocks in sorted(pairs or ()):
+        if not hits or hits[-1][0] != u:
+            hits.append((u, wit_blocks))
+    return hits
+
+
 class TestEnginesAgree:
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(small_hypergraphs())
+    def test_forced_set_hits_agree_with_a_recount_from_the_edges(self, inst):
+        # every block's members and every vertex as the forced set, before
+        # and after forbidding every third vertex
+        prop = _Propagation(inst, record=False)
+        for marked in (False, True):
+            if marked:
+                for v in range(0, inst.num_vertices, 3):
+                    prop._mark(v, None)
+            for forced in [b.members for b in inst.blocks] + [(v,) for v in range(inst.num_vertices)]:
+                assert prop._forced_set_hits(forced) == forced_set_hits_from_the_edges(prop, forced)
+
     @settings(max_examples=250, derandomize=True, database=None, deadline=None)
     @given(small_hypergraphs())
     def test_certificate_and_search_agree_with_the_count(self, inst):
@@ -537,10 +606,11 @@ class TestFindTransversal:
     )
     def test_pinned_r3_searches(self, num_edges, outcome, nodes, chosen):
         inst = random_3_uniform(random.Random(7), num_edges)
-        report = find_transversal(inst)
-        assert (report.outcome, report.nodes_explored) == (outcome, nodes)
-        if chosen is not None:
-            assert report.assignment == dict(enumerate(chosen))
+        for _ in range(2):  # the second search reads the witness index the first built
+            report = find_transversal(inst)
+            assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+            if chosen is not None:
+                assert report.assignment == dict(enumerate(chosen))
 
     # (outcome, nodes_explored, chosen vertex of each block) on planted-join
     # and random 3-uniform instances, as found by the engine that recomputed
