@@ -96,7 +96,9 @@ class DegreeBoundedProfile:
 
 class _Accum:
     """Mutable construction state; light vertices precede heavy in a block.
-    Edges are kept unsorted: the instance sorts each one."""
+    Ids are handed out in creation order and each edge lists its vertices
+    in that order, so the instance keeps the edges as given; it would sort
+    any edge that came unsorted."""
 
     def __init__(self, r: int):
         self.r = r
@@ -134,7 +136,7 @@ Consumable = Callable[["_Accum"], Callable[[int], None]]
 
 def _product_attach(acc: _Accum, light_sets: tuple[tuple[int, ...], ...]):
     def attach(v: int) -> None:
-        acc.edges.extend((v, *combo) for combo in itertools.product(*light_sets))
+        acc.edges.extend((*combo, v) for combo in itertools.product(*light_sets))
 
     return attach
 
@@ -179,7 +181,7 @@ def _join_gadget(t: int, r: int, part_sizes: tuple[int, ...]) -> Consumable:
 
         def attach(v: int) -> None:
             for s in forced:
-                acc.edges.extend((v, s, *xs) for xs in itertools.product(*witness_blocks))
+                acc.edges.extend((*xs, s, v) for xs in itertools.product(*witness_blocks))
 
         return attach
 

@@ -9,8 +9,11 @@ floats appear only in display code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -58,18 +61,26 @@ class PartitionedInstance:
     parser defers to it):
 
     * each block's ``id`` equals its position, and only padding blocks are empty,
+    * a block's ``grade``, if given, is at least 1,
     * blocks partition ``range(num_vertices)`` (dense ids, each exactly once),
     * every edge has exactly ``r`` distinct vertices, no duplicate edges,
     * for r=2 no loops (distinctness) and no parallel edges (no duplicates).
 
+    The uniformity, block ids, grades and vertex ids (block members and edge
+    entries) must be of type ``int`` exactly: ``True`` or ``1.0`` is
+    refused, as the file format could not write it back.
+
     Edges are stored as sorted tuples in construction order; an incoming
     edge that already is a sorted plain tuple is kept, not copied, so
-    re-validating an instance shares its edge tuples.  Instances are safe to
-    share between threads once constructed.  Derived read-only tables are
-    built on first use and cached: the adjacency and incidence lists here,
-    and the propagation engine's witness index in ``_witness``, which only
-    :mod:`transversals.solving` reads.  Two threads that race on a cache
-    only build it twice.
+    re-validating an instance shares its edge tuples.  When every edge is
+    such a tuple, the edges are checked in whole-list passes; otherwise, or
+    when a pass fails, edge by edge, which names the first bad edge.
+
+    Instances are safe to share between threads once constructed.  Derived
+    read-only tables are built on first use and cached: the adjacency and
+    incidence lists here, and the propagation engine's witness index in
+    ``_witness``, which only :mod:`transversals.solving` reads.  Two threads
+    that race on a cache only build it twice.
     """
 
     __slots__ = (
@@ -92,6 +103,8 @@ class PartitionedInstance:
         roles: Sequence[str | None] | None = None,
         meta: Mapping[str, str] | None = None,
     ):
+        if type(r) is not int:
+            raise InstanceError(f"uniformity must be an int, got {r!r}")
         if r < 2:
             raise InstanceError(f"uniformity must be at least 2, got {r}")
         self.r = r
@@ -100,15 +113,19 @@ class PartitionedInstance:
         n = sum(b.size for b in self.blocks)
         block_of = [-1] * n
         for i, b in enumerate(self.blocks):
-            if b.id != i:
+            if type(b.id) is not int or b.id != i:
                 raise InstanceError(
                     f"block ids must be dense and ordered, got {b.id!r}", f"block {i}"
                 )
+            if b.grade is not None and (type(b.grade) is not int or b.grade < 1):
+                raise InstanceError(f"invalid grade {b.grade!r}", f"block {i}")
             if b.size == 0 and not b.padding:
                 raise InstanceError(
                     f"block {i} is empty and not a padding block", f"block {i}"
                 )
             for v in b.members:
+                if type(v) is not int:
+                    raise InstanceError(f"vertex id {v!r} is not an int", f"block {i}")
                 if not 0 <= v < n:
                     raise InstanceError(
                         "vertex ids must be dense (0..num_vertices-1)", f"block {i}"
@@ -120,33 +137,22 @@ class PartitionedInstance:
                 block_of[v] = i
         self._block_of = block_of
 
-        norm_edges: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for i, e in enumerate(edges):
-            tup = tuple(sorted(e))
-            if type(e) is tuple and e == tup:
-                tup = e
-            if len(tup) != r or len(set(tup)) != r:
-                raise InstanceError(
-                    f"edge {tuple(e)} is not an array of {r} distinct vertices", f"edge {i}"
-                )
-            if tup[0] < 0 or tup[-1] >= n:
-                raise InstanceError(f"edge {tup} references an unknown vertex", f"edge {i}")
-            if tup in seen:
-                raise InstanceError(f"duplicate edge {tup}", f"edge {i}")
-            seen.add(tup)
-            norm_edges.append(tup)
-        self.edges: tuple[tuple[int, ...], ...] = tuple(norm_edges)
+        edges = tuple(edges)
+        if not _kept_as_given(edges, r, n):
+            edges = _normalized_edges(edges, r, n)
+        self.edges: tuple[tuple[int, ...], ...] = edges
 
         if roles is None:
             self.roles: tuple[str | None, ...] = (None,) * n
         else:
+            roles = tuple(roles)
             if len(roles) != n:
                 raise InstanceError("roles must cover every vertex")
-            for role in roles:
-                if role not in (None, HEAVY, LIGHT):
-                    raise InstanceError(f"unknown role {role!r}")
-            self.roles = tuple(roles)
+            if roles.count(None) + roles.count(HEAVY) + roles.count(LIGHT) != n:
+                for role in roles:
+                    if role not in (None, HEAVY, LIGHT):
+                        raise InstanceError(f"unknown role {role!r}")
+            self.roles = roles
 
         self.meta: dict[str, str] = dict(meta or {})
         self._adjacency: list[list[int]] | None = None
@@ -213,6 +219,59 @@ class PartitionedInstance:
             f"PartitionedInstance(r={self.r}, blocks={self.num_blocks}, "
             f"vertices={self.num_vertices}, edges={len(self.edges)})"
         )
+
+
+def _kept_as_given(edges: tuple, r: int, n: int) -> bool:
+    """Whether ``_normalized_edges`` would accept every edge and keep it as
+    given: plain tuples of r increasing int ids below n, none repeated.
+
+    Each test is one streaming pass over the edges; none builds a column
+    list, so the peak memory stays that of the edges themselves.
+    """
+    if not edges:
+        return True
+    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
+        return False
+    if set(map(type, chain.from_iterable(edges))) != {int}:
+        return False
+    for j in range(r - 1):
+        if not all(map(lt, map(itemgetter(j), edges), map(itemgetter(j + 1), edges))):
+            return False
+    return (
+        min(map(itemgetter(0), edges)) >= 0
+        and max(map(itemgetter(r - 1), edges)) < n
+        and len(set(edges)) == len(edges)
+    )
+
+
+def _normalized_edges(edges: tuple, r: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Each edge as a sorted tuple, checked one at a time; the first bad edge
+    raises with its position.  A sorted plain tuple is kept, not copied."""
+    norm_edges: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for i, e in enumerate(edges):
+        try:
+            ids = tuple(e)
+        except TypeError:
+            raise InstanceError(
+                f"edge {e!r} is not an array of {r} distinct vertices", f"edge {i}"
+            ) from None
+        if not {int}.issuperset(map(type, ids)):
+            raise InstanceError(f"edge {ids} has a vertex id that is not an int", f"edge {i}")
+        tup = tuple(sorted(ids))
+        if type(e) is tuple and e == tup:
+            tup = e
+        if len(tup) != r or len(set(tup)) != r:
+            raise InstanceError(
+                f"edge {ids} is not an array of {r} distinct vertices", f"edge {i}"
+            )
+        if tup[0] < 0 or tup[-1] >= n:
+            raise InstanceError(f"edge {tup} references an unknown vertex", f"edge {i}")
+        if tup in seen:
+            raise InstanceError(f"duplicate edge {tup}", f"edge {i}")
+        seen.add(tup)
+        norm_edges.append(tup)
+    return tuple(norm_edges)
 
 
 @dataclass(frozen=True)
@@ -305,13 +364,14 @@ def local_degree(instance: PartitionedInstance) -> int:
     """Maximum number of edges from one vertex into one other block (r=2 only)."""
     if instance.r != 2:
         raise UniformityError("local degree is defined for r=2 only")
-    per_vertex_block: dict[tuple[int, int], int] = {}
-    for u, v in instance.edges:
-        bu, bv = instance.block_of(u), instance.block_of(v)
-        if bv != bu:
-            per_vertex_block[u, bv] = per_vertex_block.get((u, bv), 0) + 1
-            per_vertex_block[v, bu] = per_vertex_block.get((v, bu), 0) + 1
-    return max(per_vertex_block.values(), default=0)
+    block_of = instance._block_of
+    best = 0
+    for u, nbrs in enumerate(instance.adjacency()):
+        if len(nbrs) > best:  # a vertex of degree <= best cannot beat it
+            counts = Counter(map(block_of.__getitem__, nbrs))
+            counts.pop(block_of[u], None)
+            best = max(best, max(counts.values(), default=0))
+    return best
 
 
 class _UnionFind:

@@ -11,8 +11,9 @@ import dataclasses
 import json
 import os
 import tempfile
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import InstanceError, ParseError
 from .model import HEAVY, LIGHT, Block, PartitionedInstance
@@ -28,44 +29,38 @@ from .solving import (
 INSTANCE_VERSION = 1
 CERTIFICATE_VERSION = 1
 
+_COMPACT = (",", ":")  # json.dumps separators of the canonical text
+_VERTEX_END = {None: "}", HEAVY: ',"role":"heavy"}', LIGHT: ',"role":"light"}'}
+
 
 # -- instances ------------------------------------------------------------------
 
 
-def instance_to_obj(instance: PartitionedInstance) -> dict[str, Any]:
+def serialize_instance(instance: PartitionedInstance) -> bytes:
+    """The canonical text, written directly: what ``json.dumps(obj,
+    sort_keys=True, separators=(",", ":"))`` gives for the instance's JSON
+    object ``obj``, without building that object.  The model admits only
+    ``int`` ids, grades and uniformity, whose text is the same in Python
+    and JSON."""
+    roles = instance.roles
     blocks = []
     for b in instance.blocks:
-        entry: dict[str, Any] = {
-            "id": b.id,
-            "vertices": [
-                {"id": v}
-                if instance.roles[v] is None
-                else {"id": v, "role": instance.roles[v]}
-                for v in b.members
-            ],
-        }
-        if b.grade is not None:
-            entry["grade"] = b.grade
-        if b.padding:
-            entry["padding"] = True
-        blocks.append(entry)
-    return {
-        "version": INSTANCE_VERSION,
-        "r": instance.r,
-        "blocks": blocks,
-        "edges": [list(e) for e in instance.edges],
-        "meta": dict(sorted(instance.meta.items())),
-    }
-
-
-def serialize_instance(instance: PartitionedInstance) -> bytes:
-    text = json.dumps(instance_to_obj(instance), sort_keys=True, separators=(",", ":"))
-    return (text + "\n").encode("utf-8")
+        grade = "" if b.grade is None else f'"grade":{b.grade},'
+        padding = '"padding":true,' if b.padding else ""
+        vertices = ",".join([f'{{"id":{v}{_VERTEX_END[roles[v]]}' for v in b.members])
+        blocks.append(f'{{{grade}"id":{b.id},{padding}"vertices":[{vertices}]}}')
+    edges = json.dumps(instance.edges, separators=_COMPACT)  # tuples encode as arrays
+    meta = json.dumps(instance.meta, sort_keys=True, separators=_COMPACT)
+    return (
+        f'{{"blocks":[{",".join(blocks)}],"edges":{edges},"meta":{meta},'
+        f'"r":{instance.r},"version":{INSTANCE_VERSION}}}\n'
+    ).encode()
 
 
 def parse_instance(data: bytes | str) -> PartitionedInstance:
-    """Check the JSON shape and types here; the structural invariants
-    (partition, dense ids, edge arity, duplicates) are the model's."""
+    """Check the JSON shape and types here, in whole-list passes that fall
+    back to a loop only to name the bad entry; the structural invariants
+    (partition, dense ids, grades, edge arity, duplicates) are the model's."""
     obj = _load_json(data)
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
@@ -76,7 +71,32 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
     if not _is_int(r):
         raise ParseError(f"invalid uniformity {r!r}")
 
-    raw_blocks = obj.get("blocks")
+    # popped, so that the block dicts are freed once the blocks are built
+    blocks, roles = _parse_blocks(obj.pop("blocks", None))
+
+    edges = obj.pop("edges", None)
+    if not isinstance(edges, list):
+        raise ParseError("edges must be an array")
+    if not (_only(edges, list) and _only(chain.from_iterable(edges), int)):
+        i = next(i for i, e in enumerate(edges) if type(e) is not list or not _only(e, int))
+        raise ParseError("edge must be an array of vertex ids", location=f"edge {i}")
+    for i, e in enumerate(edges):  # in place: each list is freed as its tuple replaces it
+        edges[i] = tuple(e)
+
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
+    ):
+        raise ParseError("meta must map strings to strings")
+
+    try:
+        return PartitionedInstance(r, blocks, edges, roles=roles, meta=meta)
+    except InstanceError as exc:
+        raise ParseError(exc.message, location=exc.location) from exc
+
+
+def _parse_blocks(raw_blocks: Any) -> tuple[list[Block], list[Any]]:
+    """The blocks and the per-vertex roles of the JSON block entries."""
     if not isinstance(raw_blocks, list):
         raise ParseError("blocks must be an array")
     blocks: list[Block] = []
@@ -89,50 +109,30 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
         block_id = raw.get("id")
         if not _is_int(block_id):
             raise ParseError(f"invalid block id {block_id!r}", location=loc)
-        grade = raw.get("grade")
-        if grade is not None and (not _is_int(grade) or grade < 1):
-            raise ParseError(f"invalid grade {grade!r}", location=loc)
         entries = raw.get("vertices", [])
         if not isinstance(entries, list):
             raise ParseError("vertices must be an array", location=loc)
+        if not (_only(entries, dict) and _only(map(dict.get, entries, repeat("id")), int)):
+            raise ParseError("vertex entry must be an object with an id", location=loc)
         start = len(ids)
-        for entry in entries:
-            if not isinstance(entry, dict) or type(entry.get("id")) is not int:
-                raise ParseError("vertex entry must be an object with an id", location=loc)
-            ids.append(entry["id"])
-            roles.append(entry.get("role"))
+        ids.extend(map(dict.get, entries, repeat("id")))
+        roles.extend(map(dict.get, entries, repeat("role")))
         blocks.append(
             Block(
                 id=block_id,
                 members=tuple(ids[start:]),
-                grade=grade,
+                grade=raw.get("grade"),
                 padding=bool(raw.get("padding", False)),
             )
         )
-
-    raw_edges = obj.get("edges")
-    if not isinstance(raw_edges, list):
-        raise ParseError("edges must be an array")
-    for i, raw in enumerate(raw_edges):
-        if not isinstance(raw, list) or not all(type(v) is int for v in raw):
-            raise ParseError("edge must be an array of vertex ids", location=f"edge {i}")
-
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-    ):
-        raise ParseError("meta must map strings to strings")
-
-    # Roles are listed per vertex entry; ids out of range or repeated are
-    # left unplaced here, because the model rejects them.
+    if ids == list(range(len(ids))):  # listed in id order, as the builders write them
+        return blocks, roles
+    # Ids out of range or repeated are left unplaced here: the model rejects them.
     role_list: list[Any] = [None] * len(ids)
     for v, role in zip(ids, roles):
         if 0 <= v < len(ids):
             role_list[v] = role
-    try:
-        return PartitionedInstance(r, blocks, raw_edges, roles=role_list, meta=meta)
-    except InstanceError as exc:
-        raise ParseError(exc.message, location=exc.location) from exc
+    return blocks, role_list
 
 
 def write_instance(instance: PartitionedInstance, path: str | Path) -> None:
@@ -146,18 +146,17 @@ def read_instance(path: str | Path) -> PartitionedInstance:
 # -- certificates ----------------------------------------------------------------
 
 
-def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
-    """The certificate as JSON values; tuples stand for JSON arrays."""
-    return {
-        "version": CERTIFICATE_VERSION,
-        "steps": [{"kind": _KIND_OF[type(step)], **vars(step)} for step in cert.steps],
-        "conclusion": cert.conclusion,
-    }
-
-
 def serialize_certificate(cert: Certificate) -> bytes:
-    text = json.dumps(certificate_to_obj(cert), sort_keys=True, separators=(",", ":"))
-    return (text + "\n").encode("utf-8")
+    """The canonical text, written directly, as for instances.  Step fields
+    hold ints, as the propagation engine and the parser make them."""
+    steps = []
+    for step in cert.steps:
+        template, fields = _STEP_TEXT[type(step)]
+        steps.append(template % tuple([write(getattr(step, name)) for name, write in fields]))
+    return (
+        f'{{"conclusion":{cert.conclusion},"steps":[{",".join(steps)}],'
+        f'"version":{CERTIFICATE_VERSION}}}\n'
+    ).encode()
 
 
 def parse_certificate(data: bytes | str) -> Certificate:
@@ -191,8 +190,13 @@ def parse_certificate(data: bytes | str) -> Certificate:
 
 def _is_int(value: Any) -> bool:
     """JSON integers only.  ``true`` and ``false`` parse to ``bool``, an
-    ``int`` subclass, hence ``type(...) is int`` here and in the loops."""
+    ``int`` subclass, hence ``type(...) is int`` here and in ``_only``."""
     return type(value) is int
+
+
+def _only(values: Iterable[Any], cls: type) -> bool:
+    """Whether every value is exactly of type ``cls``, in one pass."""
+    return set(map(type, values)) <= {cls}
 
 
 def _int(value: Any, loc: str) -> int:
@@ -202,7 +206,7 @@ def _int(value: Any, loc: str) -> int:
 
 
 def _ints(value: Any, loc: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
+    if not isinstance(value, list) or not _only(value, int):
         raise ParseError("expected an array of integers", location=loc)
     return tuple(value)
 
@@ -213,19 +217,46 @@ def _kept(value: Any, loc: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(part, loc) for part in value)
 
 
-# The certificate step kinds: each JSON kind name, its class and a parser for
+def _ints_text(values: tuple[int, ...]) -> str:
+    return f"[{','.join(map(str, values))}]"
+
+
+def _kept_text(parts: tuple[tuple[int, ...], ...]) -> str:
+    return f"[{','.join(map(_ints_text, parts))}]"
+
+
+# Each step field type's parser from JSON and writer to text.
+_INT = (_int, str)
+_INTS = (_ints, _ints_text)
+_KEPT = (_kept, _kept_text)
+
+# The certificate step kinds: each JSON kind name, its class and the codec of
 # each of the class's fields, in field order.  A step's JSON keys are "kind"
-# and the field names.  Steps are built positionally, as parsing is hot.
+# and the field names.
+_STEPS = [
+    ("forced", ForcedSetStep, (_INT, _INTS)),
+    ("forbidden", ForbiddenStep, (_INT, _INTS)),
+    ("join_forced", JoinForcedStep, (_INTS, _KEPT, _INTS)),
+    ("forbidden_via_forced", ForbiddenViaForcedStep, (_INT, _INT, _INTS)),
+]
+
+
+def _step_text(kind: str, cls: type, codecs: tuple) -> tuple[str, tuple]:
+    """A %-template of the step's JSON text, keys in sorted order, and the
+    (field name, writer) pairs that fill it."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    writers = dict(zip(names, (write for _, write in codecs), strict=True))
+    keys = sorted(["kind", *names])
+    template = ",".join(f'"{k}":' + (f'"{kind}"' if k == "kind" else "%s") for k in keys)
+    return f"{{{template}}}", tuple((k, writers[k]) for k in keys if k != "kind")
+
+
+# Steps are built positionally from (field name, parser) pairs, as parsing is hot.
 _STEP_KINDS = {
-    kind: (cls, tuple(zip((f.name for f in dataclasses.fields(cls)), parsers, strict=True)))
-    for kind, cls, parsers in [
-        ("forced", ForcedSetStep, (_int, _ints)),
-        ("forbidden", ForbiddenStep, (_int, _ints)),
-        ("join_forced", JoinForcedStep, (_ints, _kept, _ints)),
-        ("forbidden_via_forced", ForbiddenViaForcedStep, (_int, _int, _ints)),
-    ]
+    kind: (cls, tuple((f.name, parse) for f, (parse, _) in zip(dataclasses.fields(cls), codecs)))
+    for kind, cls, codecs in _STEPS
 }
-_KIND_OF = {cls: kind for kind, (cls, _) in _STEP_KINDS.items()}
+_STEP_TEXT = {cls: _step_text(kind, cls, codecs) for kind, cls, codecs in _STEPS}
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:

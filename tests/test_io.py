@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 from conftest import make_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transversals import (
+    Certificate,
     ForbiddenStep,
     ForbiddenViaForcedStep,
     ForcedSetStep,
@@ -16,23 +19,71 @@ from transversals import (
     build_bounded_degree,
     build_forest,
     build_hypergraph,
+    build_hypergraph_bounded_degree,
+    build_local_degree,
     build_star_counterexample,
     check_certificate,
     export_dot,
+    pad_blocks,
     parse_certificate,
     parse_instance,
     propagate_certificate,
     read_instance,
+    relabel,
     serialize_certificate,
     serialize_instance,
+    simple_sequence,
     write_instance,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+STEP_KINDS = {
+    ForcedSetStep: "forced",
+    ForbiddenStep: "forbidden",
+    JoinForcedStep: "join_forced",
+    ForbiddenViaForcedStep: "forbidden_via_forced",
+}
 
 
 def seq_of(t, values):
     return GradeSequence.from_values(t, values)
+
+
+def canonical_json(obj):
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def reference_instance_bytes(inst):
+    """The canonical instance text by its definition: the file's JSON object
+    as Python values, dumped with sorted keys and no spaces."""
+    blocks = []
+    for b in inst.blocks:
+        entry = {
+            "id": b.id,
+            "vertices": [
+                {"id": v} if inst.roles[v] is None else {"id": v, "role": inst.roles[v]}
+                for v in b.members
+            ],
+        }
+        if b.grade is not None:
+            entry["grade"] = b.grade
+        if b.padding:
+            entry["padding"] = True
+        blocks.append(entry)
+    return canonical_json(
+        {
+            "version": 1,
+            "r": inst.r,
+            "blocks": blocks,
+            "edges": [list(e) for e in inst.edges],
+            "meta": inst.meta,
+        }
+    )
+
+
+def reference_certificate_bytes(cert):
+    steps = [{"kind": STEP_KINDS[type(step)], **vars(step)} for step in cert.steps]
+    return canonical_json({"version": 1, "steps": steps, "conclusion": cert.conclusion})
 
 
 class TestInstanceRoundTrip:
@@ -341,3 +392,150 @@ class TestGoldenFiles:
         inst = read_instance(GOLDEN / "forest_t3.json")
         cert = parse_certificate((GOLDEN / "forest_t3.cert.json").read_bytes())
         assert check_certificate(inst, cert)
+
+
+LADDER = {
+    "forest-t7": lambda: build_forest(7, simple_sequence(7)),
+    "bounded-t14": lambda: build_bounded_degree(14, Fraction(3, 10)),
+    "local-t14": lambda: build_local_degree(14, Fraction(3, 10)),
+    "hypergraph-t6": lambda: build_hypergraph(6, 3, sequence_override=[0, 1, 2, 4, 6]),
+    "hbounded-t21": lambda: build_hypergraph_bounded_degree(21, 3, sequence_override=[0, 3, 21]),
+}
+
+
+class TestByteIdentity:
+    """The emitters write the text directly; it must equal the text of the
+    file's JSON object dumped with sorted keys."""
+
+    @pytest.mark.parametrize("name", sorted(LADDER))
+    def test_ladder_builds(self, name):
+        inst = LADDER[name]()
+        assert serialize_instance(inst) == reference_instance_bytes(inst)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            pad_blocks(build_forest(3, seq_of(3, [0, 3])), 6),
+            make_instance(3, [[0, 1], [2, 3], [4, 5]], [(4, 0, 2), [5, 3, 1]]),
+            make_instance(2, [[0, 1, 2]], []),
+            relabel(build_forest(3, seq_of(3, [0, 3])), [(5 * v + 3) % 12 for v in range(12)]),
+            make_instance(
+                2,
+                [[0, 1], [2, 3]],
+                [(0, 2)],
+                roles=["heavy", None, "light", None],
+                meta={"z": " ", "note": "größe ≤ ∞", "é": '"\\\\'},
+            ),
+        ],
+        ids=["padded", "role-less-r3", "edgeless", "relabeled", "non-ascii-meta"],
+    )
+    def test_edge_cases(self, inst):
+        data = serialize_instance(inst)
+        assert data == reference_instance_bytes(inst)
+        assert parse_instance(data) == inst
+
+    def test_golden_files(self):
+        for path in sorted(GOLDEN.glob("*.json")):
+            data = path.read_bytes()
+            if path.name.endswith(".cert.json"):
+                cert = parse_certificate(data)
+                assert serialize_certificate(cert) == reference_certificate_bytes(cert) == data
+            else:
+                inst = parse_instance(data)
+                assert serialize_instance(inst) == reference_instance_bytes(inst) == data
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: propagate_certificate(build_bounded_degree(12, Fraction(2, 5))), lambda: EVERY_STEP_KIND],
+        ids=["bounded-t12", "hand-made"],
+    )
+    def test_certificates_with_every_step_kind(self, make):
+        cert = make()
+        assert {type(step) for step in cert.steps} == set(STEP_KINDS)
+        data = serialize_certificate(cert)
+        assert data == reference_certificate_bytes(cert)
+        assert parse_certificate(data) == cert
+
+
+def json_paths(value, path=()):
+    """Every position in a JSON value, as the keys and indices leading there."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_paths(child, (*path, key))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 40)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["", "a", "heavy", "light", "forced"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "vertices", "role", "kind", "block"]), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_files(draw, files):
+    """A valid file with one JSON value replaced or removed, or its bytes cut
+    and spliced."""
+    data = draw(st.sampled_from(files))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        return data[:i] + draw(st.binary(max_size=4)) + data[j:]
+    obj = json.loads(data)
+    path = draw(st.sampled_from(list(json_paths(obj))))
+    if not path:
+        return json.dumps(draw(json_values)).encode()
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return json.dumps(obj).encode()
+
+
+INSTANCE_FILES = [
+    (GOLDEN / name).read_bytes()
+    for name in ["forest_t3.json", "stars_k2.json", "hypergraph_r3_t3.json"]
+]
+EVERY_STEP_KIND = Certificate(
+    steps=(
+        ForcedSetStep(block=0, survivors=(0, 1)),
+        ForbiddenStep(vertex=2, witnesses=(0,)),
+        JoinForcedStep(blocks=(0, 1), kept=((0,), (2, 3)), forced=(1,)),
+        ForbiddenViaForcedStep(vertex=4, forced_step=2, witnesses=(1, 5)),
+    ),
+    conclusion=1,
+)
+CERTIFICATE_FILES = [
+    (GOLDEN / "forest_t3.cert.json").read_bytes(),
+    serialize_certificate(EVERY_STEP_KIND),
+]
+
+
+class TestMutatedFiles:
+    """A damaged file either parses or raises ParseError, nothing else."""
+
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(mutated_files(INSTANCE_FILES))
+    def test_instances(self, data):
+        try:
+            inst = parse_instance(data)
+        except ParseError:
+            return
+        assert parse_instance(serialize_instance(inst)) == inst
+
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(mutated_files(CERTIFICATE_FILES))
+    def test_certificates(self, data):
+        try:
+            cert = parse_certificate(data)
+        except ParseError:
+            return
+        assert parse_certificate(serialize_certificate(cert)) == cert

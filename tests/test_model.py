@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import make_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transversals import (
     HEAVY,
@@ -53,6 +55,8 @@ def test_violations_name_their_location():
         make_instance(2, [[0, 1]], [], roles=["heavy"])
     assert err.value.location is None
     assert str(err.value) == "roles must cover every vertex"
+    with pytest.raises(InstanceError, match="unknown role 'medium'"):
+        make_instance(2, [[0, 1]], [], roles=["heavy", "medium"])
 
 
 def test_sorted_tuple_edges_are_kept_and_others_copied_sorted():
@@ -204,3 +208,153 @@ def test_vertex_info_roles_and_grades():
     assert all(inst.vertex_info(v).role == HEAVY for v in top.members)
     grade1 = next(b for b in inst.blocks if b.grade == 1)
     assert all(inst.vertex_info(v).role == LIGHT for v in grade1.members)
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [(True, 2), (1.0, 2), ("a", 2), (2, None), None, 5, "ab", [True, 2]],
+    ids=["bool", "float", "str", "none-entry", "none", "int", "string", "bool-list"],
+)
+def test_edge_vertex_ids_must_be_ints(edge):
+    # a bool or float id would serialize to a file the parser refuses
+    with pytest.raises(InstanceError) as err:
+        make_instance(2, [[0, 1], [2, 3]], [(0, 3), edge])
+    assert err.value.location == "edge 1"
+
+
+@pytest.mark.parametrize("r", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_uniformity_must_be_an_int(r):
+    with pytest.raises(InstanceError, match="uniformity must be"):
+        make_instance(r, [[0, 1], [2, 3]], [(0, 2)])
+
+
+@pytest.mark.parametrize("member", [True, 1.0, "a", None], ids=["bool", "float", "str", "none"])
+def test_block_members_must_be_ints(member):
+    with pytest.raises(InstanceError, match="not an int") as err:
+        make_instance(2, [[0, 3], [2, member]], [])
+    assert err.value.location == "block 1"
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (Block(id=True, members=(1,)), "dense and ordered"),
+        (Block(id=1, members=(1,), grade=True), "invalid grade True"),
+        (Block(id=1, members=(1,), grade=0), "invalid grade 0"),
+        (Block(id=1, members=(1,), grade=1.0), "invalid grade 1.0"),
+    ],
+    ids=["bool-id", "bool-grade", "zero-grade", "float-grade"],
+)
+def test_block_ids_and_grades_must_be_ints(block, message):
+    with pytest.raises(InstanceError, match=message) as err:
+        PartitionedInstance(2, [Block(id=0, members=(0,)), block], [])
+    assert err.value.location == "block 1"
+
+
+def reference_edges(edges, r, n):
+    """The edge rule applied one edge at a time: the accepted edges, or the
+    message and location of the first bad one."""
+    accepted, seen = [], set()
+    for i, e in enumerate(edges):
+        loc = f"edge {i}"
+        try:
+            ids = tuple(e)
+        except TypeError:
+            return f"edge {e!r} is not an array of {r} distinct vertices", loc
+        if any(type(v) is not int for v in ids):
+            return f"edge {ids} has a vertex id that is not an int", loc
+        tup = tuple(sorted(ids))
+        if len(tup) != r or len(set(tup)) != r:
+            return f"edge {ids} is not an array of {r} distinct vertices", loc
+        if tup[0] < 0 or tup[-1] >= n:
+            return f"edge {tup} references an unknown vertex", loc
+        if tup in seen:
+            return f"duplicate edge {tup}", loc
+        seen.add(tup)
+        accepted.append(e if type(e) is tuple and e == tup else tup)
+    return accepted
+
+
+FAULTS = ["bool", "float", "str", "short", "long", "repeat", "range", "negative",
+          "duplicate", "unsorted", "list", "none"]
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """Valid sorted edges on a few blocks, with up to three injected faults."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 9))
+    edges = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True).map(
+                lambda e: tuple(sorted(e))
+            ),
+            max_size=10,
+            unique=True,
+        )
+    )
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)) if edges else ():
+        i = draw(st.integers(0, len(edges) - 1))
+        if not edges[i]:  # None, or emptied by "short"
+            continue
+        e, j = list(edges[i]), draw(st.integers(0, len(edges[i]) - 1))
+        if fault in ("bool", "float", "str"):
+            e[j] = {"bool": e[j] == 1, "float": float(e[j]), "str": str(e[j])}[fault]
+        elif fault == "short":
+            del e[j]
+        elif fault == "long":
+            e.append(n - 1)
+        elif fault == "repeat":
+            e[j] = e[j - 1]
+        elif fault == "range":
+            e[j] = n + j
+        elif fault == "negative":
+            e[j] = -1
+        elif fault == "duplicate":
+            edges.insert(draw(st.integers(0, len(edges))), tuple(e[::-1] if j else e))
+        elif fault == "unsorted":
+            e.reverse()
+        edges[i] = None if fault == "none" else e if fault == "list" else tuple(e)
+    return r, n, edges
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(faulty_edge_lists())
+def test_edge_passes_agree_with_the_per_edge_rule(case):
+    r, n, edges = case
+    expected = reference_edges(edges, r, n)
+    blocks = [[v] for v in range(n)]
+    if isinstance(expected, list):
+        inst = make_instance(r, blocks, edges)
+        assert inst.edges == tuple(expected)
+        # the same edges are kept as given
+        given_ids = {id(e) for e in edges}
+        assert [id(e) in given_ids for e in inst.edges] == [id(f) in given_ids for f in expected]
+    else:
+        with pytest.raises(InstanceError) as err:
+            make_instance(r, blocks, edges)
+        assert (err.value.message, err.value.location) == expected
+
+
+def local_degree_per_pair(inst):
+    """The local degree by its definition: edges per (vertex, other block)."""
+    count = {}
+    for e in inst.edges:
+        for u in e:
+            for v in e:
+                if inst.block_of(u) != inst.block_of(v):
+                    key = (u, inst.block_of(v))
+                    count[key] = count.get(key, 0) + 1
+    return max(count.values(), default=0)
+
+
+def test_local_degree_matches_its_definition(rng):
+    from conftest import random_capped_degree_instance
+
+    instances = [
+        build_forest(3, GradeSequence.from_values(3, [0, 1, 3])),
+        build_star_counterexample(3),
+        make_instance(2, [[0, 1, 2], [3, 4]], [(0, 1), (0, 3), (0, 4), (1, 2)]),
+    ] + [random_capped_degree_instance(3, 5, rng, cap) for cap in (1, 2, 4, 8)]
+    for inst in instances:
+        assert local_degree(inst) == local_degree_per_pair(inst)
