@@ -145,14 +145,12 @@ class PartitionedInstance:
         if roles is None:
             self.roles: tuple[str | None, ...] = (None,) * n
         else:
-            roles = tuple(roles)
             if len(roles) != n:
                 raise InstanceError("roles must cover every vertex")
-            if roles.count(None) + roles.count(HEAVY) + roles.count(LIGHT) != n:
-                for role in roles:
-                    if role not in (None, HEAVY, LIGHT):
-                        raise InstanceError(f"unknown role {role!r}")
-            self.roles = roles
+            for role in roles:
+                if role not in (None, HEAVY, LIGHT):
+                    raise InstanceError(f"unknown role {role!r}")
+            self.roles = tuple(roles)
 
         self.meta: dict[str, str] = dict(meta or {})
         self._adjacency: list[list[int]] | None = None

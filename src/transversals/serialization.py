@@ -125,8 +125,6 @@ def _parse_blocks(raw_blocks: Any) -> tuple[list[Block], list[Any]]:
                 padding=bool(raw.get("padding", False)),
             )
         )
-    if ids == list(range(len(ids))):  # listed in id order, as the builders write them
-        return blocks, roles
     # Ids out of range or repeated are left unplaced here: the model rejects them.
     role_list: list[Any] = [None] * len(ids)
     for v, role in zip(ids, roles):
@@ -147,16 +145,9 @@ def read_instance(path: str | Path) -> PartitionedInstance:
 
 
 def serialize_certificate(cert: Certificate) -> bytes:
-    """The canonical text, written directly, as for instances.  Step fields
-    hold ints, as the propagation engine and the parser make them."""
-    steps = []
-    for step in cert.steps:
-        template, fields = _STEP_TEXT[type(step)]
-        steps.append(template % tuple([write(getattr(step, name)) for name, write in fields]))
-    return (
-        f'{{"conclusion":{cert.conclusion},"steps":[{",".join(steps)}],'
-        f'"version":{CERTIFICATE_VERSION}}}\n'
-    ).encode()
+    steps = [{"kind": _KIND_OF[type(step)], **vars(step)} for step in cert.steps]
+    obj = {"version": CERTIFICATE_VERSION, "steps": steps, "conclusion": cert.conclusion}
+    return (json.dumps(obj, sort_keys=True, separators=_COMPACT) + "\n").encode()
 
 
 def parse_certificate(data: bytes | str) -> Certificate:
@@ -217,46 +208,19 @@ def _kept(value: Any, loc: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(part, loc) for part in value)
 
 
-def _ints_text(values: tuple[int, ...]) -> str:
-    return f"[{','.join(map(str, values))}]"
-
-
-def _kept_text(parts: tuple[tuple[int, ...], ...]) -> str:
-    return f"[{','.join(map(_ints_text, parts))}]"
-
-
-# Each step field type's parser from JSON and writer to text.
-_INT = (_int, str)
-_INTS = (_ints, _ints_text)
-_KEPT = (_kept, _kept_text)
-
-# The certificate step kinds: each JSON kind name, its class and the codec of
+# The certificate step kinds: each JSON kind name, its class and a parser for
 # each of the class's fields, in field order.  A step's JSON keys are "kind"
-# and the field names.
-_STEPS = [
-    ("forced", ForcedSetStep, (_INT, _INTS)),
-    ("forbidden", ForbiddenStep, (_INT, _INTS)),
-    ("join_forced", JoinForcedStep, (_INTS, _KEPT, _INTS)),
-    ("forbidden_via_forced", ForbiddenViaForcedStep, (_INT, _INT, _INTS)),
-]
-
-
-def _step_text(kind: str, cls: type, codecs: tuple) -> tuple[str, tuple]:
-    """A %-template of the step's JSON text, keys in sorted order, and the
-    (field name, writer) pairs that fill it."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    writers = dict(zip(names, (write for _, write in codecs), strict=True))
-    keys = sorted(["kind", *names])
-    template = ",".join(f'"{k}":' + (f'"{kind}"' if k == "kind" else "%s") for k in keys)
-    return f"{{{template}}}", tuple((k, writers[k]) for k in keys if k != "kind")
-
-
-# Steps are built positionally from (field name, parser) pairs, as parsing is hot.
+# and the field names.  Steps are built positionally, as parsing is hot.
 _STEP_KINDS = {
-    kind: (cls, tuple((f.name, parse) for f, (parse, _) in zip(dataclasses.fields(cls), codecs)))
-    for kind, cls, codecs in _STEPS
+    kind: (cls, tuple(zip((f.name for f in dataclasses.fields(cls)), parsers, strict=True)))
+    for kind, cls, parsers in [
+        ("forced", ForcedSetStep, (_int, _ints)),
+        ("forbidden", ForbiddenStep, (_int, _ints)),
+        ("join_forced", JoinForcedStep, (_ints, _kept, _ints)),
+        ("forbidden_via_forced", ForbiddenViaForcedStep, (_int, _int, _ints)),
+    ]
 }
-_STEP_TEXT = {cls: _step_text(kind, cls, codecs) for kind, cls, codecs in _STEPS}
+_KIND_OF = {cls: kind for kind, (cls, _) in _STEP_KINDS.items()}
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:

@@ -456,6 +456,16 @@ class TestByteIdentity:
         assert data == reference_certificate_bytes(cert)
         assert parse_certificate(data) == cert
 
+    def test_bool_step_field_is_written_as_json_and_refused(self):
+        # Certificate steps are plain dataclasses that nothing validates: a
+        # bool field must still give valid JSON, which the parser refuses.
+        cert = Certificate(steps=(ForbiddenStep(vertex=True, witnesses=(0,)),), conclusion=0)
+        data = serialize_certificate(cert)
+        assert json.loads(data)["steps"][0]["vertex"] is True
+        with pytest.raises(ParseError) as info:
+            parse_certificate(data)
+        assert info.value.location == "step 0"
+
 
 def json_paths(value, path=()):
     """Every position in a JSON value, as the keys and indices leading there."""
