@@ -72,9 +72,13 @@ class SizePrediction:
 class DegreeBoundedProfile:
     """Exact numerology of a degree-bounded build, independent of its size.
 
-    For the pair variants (r=2) ``grade_values`` starts at the effective
-    first value t - forced_size, so the grade-2 heavy degree equals
-    t - grade_values[0]; it is not a plain grade sequence (those start at 0).
+    The pair variants (bounded and local degree) are the r-uniform join
+    gadget build at r=2; one formula set gives every variant's degrees.
+    ``block_degrees`` lists the gadget's r blocks, then grades 2..k.
+    The grade-2 heavy degree is forced_size * t^(r-2), so ``grade_values[0]``
+    is read by neither the numerology nor the build. The pair variants
+    record the effective first value t - forced_size there, the r-uniform
+    one the sequence's 0.
     """
 
     t: int
@@ -162,9 +166,6 @@ def _join_gadget(t: int, r: int, part_sizes: tuple[int, ...]) -> Consumable:
     joined to every forced vertex combined with all tuples over the first
     r - 2 blocks (which have full-size parts, hence no forced vertices).
     """
-    for m in part_sizes[: r - 2]:
-        if m != t:
-            raise ParameterError("all but the last two join parts must have size t")
 
     def consumable(acc: _Accum):
         parts: list[tuple[int, ...]] = []
@@ -280,7 +281,6 @@ def build_forest(
         t,
         2,
         seq.values,
-        _plain_grade1(t, 2),
         None,
         max_cells,
         meta={
@@ -318,7 +318,6 @@ def build_hypergraph(
         t,
         r,
         values,
-        _plain_grade1(t, r),
         None,
         max_cells,
         meta={
@@ -357,13 +356,18 @@ def _build_recursive(
     t: int,
     r: int,
     values: Sequence[int],
-    grade1: Consumable,
     gadget_parts: tuple[int, ...] | None,
     max_cells: int | None,
     meta: dict[str, str],
 ) -> PartitionedInstance:
+    """Build the top unit on plain grade-1 units, or on join gadgets with
+    ``gadget_parts``; refuse it first if the prediction exceeds the budget."""
     pred = predict_size(t, r, values, gadget_parts)
     _check_budget(pred, max_cells, meta["builder"])
+    if gadget_parts is None:
+        grade1 = _plain_grade1(t, r)
+    else:
+        grade1 = _join_gadget(t, r, gadget_parts)
     acc = _Accum(r)
     _build_tree(acc, len(values), t, values, r, grade1)
     inst = acc.finish(meta)
@@ -379,7 +383,79 @@ def _seq_str(values: Sequence[int]) -> str:
     return ",".join(str(v) for v in values)
 
 
-# -- degree-bounded profiles and builders (r = 2) ------------------------------
+# -- degree-bounded profiles and builders --------------------------------------
+
+
+def _gadget_profile(
+    t: int,
+    r: int,
+    parts: tuple[int, ...],
+    values: tuple[int, ...],
+    epsilon: Fraction | None,
+    alpha: Fraction | None,
+    bound: int,
+    local: int | None = None,
+    bound_is_local: bool = False,
+) -> DegreeBoundedProfile:
+    """The join-gadget numerology shared by every degree-bounded build.
+
+    ``parts`` are the join parts of the grade-1 gadget (all but the last two
+    of size t) and ``values`` the grade values; ``values[0]`` is not read.
+    Checks every block degree against (c_r + epsilon) t^r, or returns the
+    smallest epsilon that fits when ``epsilon`` is None, and checks the
+    maximum degree (or ``local``, if ``bound_is_local``) against ``bound``.
+    """
+    c_r = threshold_constant(r)
+    forced = r * t - sum(parts)
+    grade2_heavy = forced * t ** (r - 2)
+
+    # Vertex degrees: join parts, heavy grades, forced and light vertices.
+    part_degrees = [
+        math.prod(parts[:i] + parts[i + 1 :]) + (forced * t ** (r - 3) if i < r - 2 else 0)
+        for i in range(r)
+    ]
+    tail = [(t - values[j - 1]) ** (r - 1) for j in range(2, len(values))]
+    max_deg = max(part_degrees + [grade2_heavy] + tail + [t ** (r - 2)])
+
+    # Stretched-edge counts per block: gadget blocks then grades 2..k.
+    prod_all = math.prod(parts)
+    degrees = [
+        prod_all + (forced if i < r - 2 else t - parts[i]) * t ** (r - 2) for i in range(r)
+    ]
+    degrees.append(values[1] * grade2_heavy + (t - values[1]) ** (r - 1))
+    degrees += [grade_block_degree(t, r, values[j - 1], values[j]) for j in range(2, len(values))]
+
+    if epsilon is None:
+        epsilon = max(Fraction(max(degrees), t**r) - c_r, Fraction(0))
+    else:
+        epsilon = Fraction(epsilon)
+        budget = (c_r + epsilon) * t**r
+        if max(degrees) > budget:
+            raise ParameterError(
+                f"block degree {max(degrees)} exceeds (c_r+eps)t^r = {budget}; "
+                f"epsilon={epsilon} is too small for this geometry"
+            )
+
+    checked = local if bound_is_local else max_deg
+    if checked > bound:
+        raise ParameterError(
+            f"{'local degree' if bound_is_local else 'maximum degree'} {checked} "
+            f"exceeds the target bound {bound}"
+        )
+    return DegreeBoundedProfile(
+        t=t,
+        r=r,
+        epsilon=epsilon,
+        alpha=alpha,
+        part_sizes=parts,
+        forced_size=forced,
+        grade_values=values,
+        max_degree=max_deg,
+        max_degree_bound=bound,
+        local_degree=local,
+        block_degrees=tuple(degrees),
+        prediction=predict_size(t, r, values, gadget_parts=parts),
+    )
 
 
 def bounded_degree_profile(
@@ -397,59 +473,32 @@ def bounded_degree_profile(
     alpha = Fraction(alpha) if alpha is not None else DEFAULT_BOUNDED_ALPHA
     if not Fraction(1, 2) <= alpha < 1:
         raise ParameterError(f"alpha must lie in [1/2, 1), got {alpha}")
-    epsilon = Fraction(epsilon)
-    a_size = math.ceil(alpha * t)
-    b_size = math.ceil(t / (4 * alpha))
     # Degrees are governed by max(alpha, 2 - alpha - 1/(4 alpha)); the two
     # agree at the optimal alpha = 1/2 + 1/(2 sqrt 2), just below 0.854.
     ratio = max(alpha, 2 - alpha - 1 / (4 * alpha))
-    return _pair_profile(
-        t,
-        epsilon,
-        alpha,
-        a_size,
-        b_size,
-        n2=None,
-        bound=math.ceil(ratio * t),
-        bound_is_local=False,
-    )
+    return _pair_profile(t, epsilon, alpha, None, math.ceil(ratio * t))
 
 
 def local_degree_profile(t: int, epsilon: Fraction) -> DegreeBoundedProfile:
     """Numerology of the local-degree-bounded build (alpha fixed at 0.731,
     grade-2 size set directly to ceil((2 - alpha - 1/(4 alpha))^-1 t/4))."""
-    epsilon = Fraction(epsilon)
     alpha = LOCAL_ALPHA
-    a_size = math.ceil(alpha * t)
-    b_size = math.ceil(t / (4 * alpha))
     n2 = math.ceil(1 / (2 - alpha - 1 / (4 * alpha)) * Fraction(t, 4))
-    return _pair_profile(
-        t,
-        epsilon,
-        alpha,
-        a_size,
-        b_size,
-        n2=n2,
-        bound=math.ceil(LOCAL_DEGREE_RATIO * t),
-        bound_is_local=True,
-    )
+    return _pair_profile(t, epsilon, alpha, n2, math.ceil(LOCAL_DEGREE_RATIO * t))
 
 
 def _pair_profile(
-    t: int,
-    epsilon: Fraction,
-    alpha: Fraction,
-    a_size: int,
-    b_size: int,
-    n2: int | None,
-    bound: int,
-    bound_is_local: bool,
+    t: int, epsilon: Fraction, alpha: Fraction, n2: int | None, bound: int
 ) -> DegreeBoundedProfile:
+    """The r = 2 geometry: join parts from alpha, grade values from the
+    effective first value |A| + |B| - t (or from ``n2``, bounding the local
+    degree instead of the maximum degree)."""
+    epsilon = Fraction(epsilon)
+    a_size, b_size = parts = (math.ceil(alpha * t), math.ceil(t / (4 * alpha)))
     if a_size >= t or b_size >= t or a_size < 1 or b_size < 1:
         raise ParameterError(
             f"join parts |A|={a_size}, |B|={b_size} must be strictly between 0 and t={t}"
         )
-    forced = 2 * t - a_size - b_size
     start = a_size + b_size - t
     if start < 0:
         raise ParameterError(
@@ -467,41 +516,8 @@ def _pair_profile(
         if n2 <= start:
             raise ParameterError(f"grade-2 size {n2} must exceed the start {start}")
         values = (start,) + tuple(_run_floor_recurrence(t, delta, start=n2))
-
-    # Per-block degrees: the gadget pair first, then grades 2..k.
-    degrees = [a_size * b_size + (t - a_size), a_size * b_size + (t - b_size)]
-    degrees += [grade_block_degree(t, 2, values[j - 1], values[j]) for j in range(1, len(values))]
-    budget = (Fraction(1, 4) + epsilon) * t * t
-    for i, d in enumerate(degrees):
-        if d > budget:
-            raise ParameterError(
-                f"block degree {d} (entry {i}) exceeds (1/4+eps)t^2 = {budget}; "
-                f"epsilon={epsilon} is too small for this geometry"
-            )
-
-    max_deg = max(a_size, b_size, forced)
     local = max(a_size, b_size, t - a_size, t - b_size, t - values[1])
-    checked = local if bound_is_local else max_deg
-    if checked > bound:
-        raise ParameterError(
-            f"{'local degree' if bound_is_local else 'maximum degree'} {checked} "
-            f"exceeds the target bound {bound}"
-        )
-    pred = predict_size(t, 2, values, gadget_parts=(a_size, b_size))
-    return DegreeBoundedProfile(
-        t=t,
-        r=2,
-        epsilon=epsilon,
-        alpha=alpha,
-        part_sizes=(a_size, b_size),
-        forced_size=forced,
-        grade_values=values,
-        max_degree=max_deg,
-        max_degree_bound=bound,
-        local_degree=local,
-        block_degrees=tuple(degrees),
-        prediction=pred,
-    )
+    return _gadget_profile(t, 2, parts, values, epsilon, alpha, bound, local, n2 is not None)
 
 
 def build_bounded_degree(
@@ -516,7 +532,7 @@ def build_bounded_degree(
     ``transversals certify``) proves that it has no independent transversal.
     """
     profile = bounded_degree_profile(t, epsilon, alpha)
-    return _build_pair_variant(profile, "bounded_degree", max_cells)
+    return _build_gadget(profile, "bounded_degree", max_cells, alpha=str(profile.alpha))
 
 
 def build_local_degree(
@@ -530,31 +546,27 @@ def build_local_degree(
     ``transversals certify``) proves that it has no independent transversal.
     """
     profile = local_degree_profile(t, epsilon)
-    return _build_pair_variant(profile, "local_degree", max_cells)
+    return _build_gadget(profile, "local_degree", max_cells, alpha=str(profile.alpha))
 
 
-def _build_pair_variant(
-    profile: DegreeBoundedProfile, name: str, max_cells: int | None
+def _build_gadget(
+    profile: DegreeBoundedProfile, name: str, max_cells: int | None, **meta: str
 ) -> PartitionedInstance:
-    t = profile.t
+    """Materialize a degree-bounded profile: join gadgets at grade 1."""
     return _build_recursive(
-        t,
-        2,
+        profile.t,
+        profile.r,
         profile.grade_values,
-        _join_gadget(t, 2, profile.part_sizes),
         profile.part_sizes,
         max_cells,
         meta={
             "builder": name,
-            "t": str(t),
+            "t": str(profile.t),
             "epsilon": str(profile.epsilon),
-            "alpha": str(profile.alpha),
             "sequence": _seq_str(profile.grade_values),
+            **meta,
         },
     )
-
-
-# -- degree-bounded hypergraph -------------------------------------------------
 
 
 def hypergraph_bounded_parts(t: int, r: int) -> tuple[int, ...]:
@@ -585,64 +597,11 @@ def hypergraph_bounded_profile(
 ) -> DegreeBoundedProfile:
     """Exact numerology of the degree-bounded r-uniform build."""
     parts = hypergraph_bounded_parts(t, r)
-    c_r = threshold_constant(r)
-    forced = r * t - sum(parts)
     values = _hypergraph_values(t, r, epsilon, sequence_override)
-
-    # Vertex degrees: join parts, forced vertices, then heavy grades.
-    part_degrees = []
-    for i in range(r):
-        d = math.prod(parts[:i] + parts[i + 1 :])
-        if i < r - 2:
-            d += forced * t ** (r - 3)
-        part_degrees.append(d)
-    grade2_heavy = forced * t ** (r - 2)
-    tail = [
-        (t - values[j - 1]) ** (r - 1) for j in range(2, len(values))
-    ]
-    max_deg = max(part_degrees + [grade2_heavy] + tail + [t ** (r - 2)])
-    bound = math.ceil((1 - c_r / 3) * t ** (r - 1)) + r
-
-    # Stretched-edge counts per block: gadget blocks then grades 2..k.
-    prod_all = math.prod(parts)
-    degrees = []
-    for i in range(r):
-        if i < r - 2:
-            degrees.append(prod_all + forced * t ** (r - 2))
-        else:
-            degrees.append(prod_all + (t - parts[i]) * t ** (r - 2))
-    degrees.append(values[1] * grade2_heavy + (t - values[1]) ** (r - 1))
-    degrees += [grade_block_degree(t, r, values[j - 1], values[j]) for j in range(2, len(values))]
-
+    bound = math.ceil((1 - threshold_constant(r) / 3) * t ** (r - 1)) + r
     if sequence_override is not None:
-        eps = max(Fraction(max(degrees), t**r) - c_r, Fraction(0))
-    else:
-        eps = Fraction(epsilon)
-        budget = (c_r + eps) * t**r
-        if max(degrees) > budget:
-            raise ParameterError(
-                f"block degree {max(degrees)} exceeds (c_r+eps)t^r = {budget}"
-            )
-
-    if max_deg > bound:
-        raise ParameterError(
-            f"maximum degree {max_deg} exceeds the target bound {bound}"
-        )
-    pred = predict_size(t, r, values, gadget_parts=parts)
-    return DegreeBoundedProfile(
-        t=t,
-        r=r,
-        epsilon=eps,
-        alpha=None,
-        part_sizes=parts,
-        forced_size=forced,
-        grade_values=values,
-        max_degree=max_deg,
-        max_degree_bound=bound,
-        local_degree=None,
-        block_degrees=tuple(degrees),
-        prediction=pred,
-    )
+        epsilon = None  # implied by the override
+    return _gadget_profile(t, r, parts, values, epsilon, None, bound)
 
 
 def build_hypergraph_bounded_degree(
@@ -659,22 +618,13 @@ def build_hypergraph_bounded_degree(
     gadget combined with all tuples over the gadget's full-size blocks.
     """
     profile = hypergraph_bounded_profile(t, r, epsilon, sequence_override)
-    return _build_recursive(
-        t,
-        r,
-        profile.grade_values,
-        _join_gadget(t, r, profile.part_sizes),
-        profile.part_sizes,
+    return _build_gadget(
+        profile,
+        "hypergraph_bounded_degree",
         max_cells,
-        meta={
-            "builder": "hypergraph_bounded_degree",
-            "t": str(t),
-            "r": str(r),
-            "epsilon": str(profile.epsilon),
-            "parts": _seq_str(profile.part_sizes),
-            "sequence": _seq_str(profile.grade_values),
-            "sequence_source": "override" if sequence_override is not None else "generated",
-        },
+        r=str(r),
+        parts=_seq_str(profile.part_sizes),
+        sequence_source="override" if sequence_override is not None else "generated",
     )
 
 

@@ -362,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         InstanceError,
         CertificateError,
         BuildSizeError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

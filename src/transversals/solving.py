@@ -508,7 +508,8 @@ def propagate_certificate(instance: PartitionedInstance) -> Certificate | None:
 def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
     """Replay a certificate step by step without any search.
 
-    Structurally malformed references raise :class:`CertificateError`;
+    Malformed steps (a field of the wrong type or shape, an id that is not
+    an ``int``, or one out of range) raise :class:`CertificateError`;
     logically unjustified steps make the replay return False.
     """
     n = instance.num_vertices
@@ -521,22 +522,36 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
         return tuple(v for v in instance.blocks[b].members if not forbidden[v])
 
     def check_block(b: int) -> None:
-        if not isinstance(b, int) or not 0 <= b < num_blocks:
+        if type(b) is not int or not 0 <= b < num_blocks:
             raise CertificateError(f"unknown block id {b!r}")
 
     def check_vertex(v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < n:
+        if type(v) is not int or not 0 <= v < n:
             raise CertificateError(f"unknown vertex id {v!r}")
 
-    for idx, step in enumerate(cert.steps):
+    def seq(value: object, what: str) -> tuple:
+        try:
+            return tuple(value)  # type: ignore[arg-type]
+        except TypeError:
+            raise CertificateError(f"{what} {value!r} is not a sequence") from None
+
+    def ids(value: object, what: str) -> tuple[int, ...]:
+        out = seq(value, what)
+        if not {int}.issuperset(map(type, out)):
+            raise CertificateError(f"{what} {value!r} holds an id that is not an int")
+        return out
+
+    steps = seq(cert.steps, "steps")
+    for idx, step in enumerate(steps):
         if isinstance(step, ForcedSetStep):
             check_block(step.block)
-            if tuple(step.survivors) != survivors(step.block):
+            surv = ids(step.survivors, "survivors")
+            if surv != survivors(step.block):
                 return False
-            last_forced[step.block] = tuple(step.survivors)
+            last_forced[step.block] = surv
         elif isinstance(step, ForbiddenStep):
             check_vertex(step.vertex)
-            wits = tuple(step.witnesses)
+            wits = ids(step.witnesses, "witnesses")
             if len(wits) != instance.r - 1 or len(set(wits)) != len(wits):
                 return False
             v = step.vertex
@@ -556,12 +571,13 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
                     return False
             forbidden[v] = True
         elif isinstance(step, JoinForcedStep):
-            blocks = tuple(step.blocks)
+            blocks = ids(step.blocks, "blocks")
             if len(blocks) != instance.r or len(set(blocks)) != len(blocks):
                 return False
             for b in blocks:
                 check_block(b)
-            kept = tuple(tuple(k) for k in step.kept)
+            kept = tuple(ids(k, "kept part") for k in seq(step.kept, "kept"))
+            forced = ids(step.forced, "forced")
             if len(kept) != len(blocks):
                 return False
             expected_forced: list[int] = []
@@ -572,7 +588,7 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
                 if not part:
                     return False
                 expected_forced.extend(sorted(surv - set(part)))
-            if tuple(sorted(expected_forced)) != tuple(sorted(step.forced)):
+            if sorted(expected_forced) != sorted(forced):
                 return False
             for combo in itertools.product(*kept):
                 if tuple(sorted(combo)) not in edge_set:
@@ -580,9 +596,9 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
         elif isinstance(step, ForbiddenViaForcedStep):
             check_vertex(step.vertex)
             ref = step.forced_step
-            if not isinstance(ref, int) or not 0 <= ref < idx:
+            if type(ref) is not int or not 0 <= ref < idx:
                 raise CertificateError(f"forced-step reference {ref!r} out of range")
-            forced_step = cert.steps[ref]
+            forced_step = steps[ref]
             if not isinstance(forced_step, JoinForcedStep):
                 raise CertificateError(
                     f"step {ref} referenced as forced set is {type(forced_step).__name__}"
@@ -593,7 +609,7 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
             alive = [s for s in forced_step.forced if not forbidden[s]]
             if not alive:
                 return False
-            wits = tuple(step.witnesses)
+            wits = ids(step.witnesses, "witnesses")
             if len(wits) != instance.r - 2 or len(set(wits)) != len(wits):
                 return False
             wit_sets = []

@@ -8,6 +8,7 @@ from transversals import (
     LIGHT,
     BuildRecipe,
     BuildSizeError,
+    DegreeBoundedProfile,
     GradeSequence,
     ParameterError,
     SequenceError,
@@ -37,6 +38,9 @@ from transversals import (
     thickness,
     threshold_constant,
 )
+from transversals.builders import DEFAULT_BOUNDED_ALPHA, LOCAL_ALPHA, LOCAL_DEGREE_RATIO
+from transversals.builders import _hypergraph_values
+from transversals.sequences import _run_floor_recurrence, grade_block_degree
 
 
 def seq_of(t, values):
@@ -300,6 +304,9 @@ def _ladder_build(name):
     if name == "hypergraph-t6":
         inst = build_hypergraph(6, 3, sequence_override=(0, 1, 2, 4, 6))
         return inst, None, (threshold_constant(3) + Fraction(inst.meta["epsilon"])) * 6**2
+    if name == "bounded-t12":  # not on the benchmark ladder
+        e = Fraction(2, 5)
+        return build_bounded_degree(12, e), bounded_degree_profile(12, e), (Fraction(1, 4) + e) * 12
     if name == "bounded-t14":
         p = bounded_degree_profile(14, eps)
         return build_bounded_degree(14, eps), p, (Fraction(1, 4) + eps) * 14
@@ -316,12 +323,21 @@ def _ladder_build(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["forest-t7", "hypergraph-t6", "bounded-t14", "local-t14", "hbounded-t21", "stars-k4"],
+    [
+        "forest-t7",
+        "hypergraph-t6",
+        "bounded-t12",
+        "bounded-t14",
+        "local-t14",
+        "hbounded-t21",
+        "stars-k4",
+    ],
 )
 def test_ladder_builds_meet_their_guarantees(name):
     # The builders do not measure what they build; this is the check that
     # every edge is stretched, that the degree the construction bounds is
-    # the one its profile predicts, and that block averages stay in budget.
+    # the one its profile predicts, that every block has the degree its
+    # profile predicts, and that block averages stay in budget.
     inst, profile, average_bound = _ladder_build(name)
     metrics = compute_metrics(inst)
     assert metrics.stretched_edges == len(inst.edges)
@@ -330,6 +346,142 @@ def test_ladder_builds_meet_their_guarantees(name):
         assert metrics.local_degree == profile.local_degree <= profile.max_degree_bound
     elif profile is not None:
         assert metrics.max_degree == profile.max_degree <= profile.max_degree_bound
+    if profile is not None:  # block_degrees: the gadget's r blocks, then grades 2..k
+        by_grade = {}
+        for blk in inst.blocks:
+            by_grade.setdefault(blk.grade, set()).add(metrics.per_block_degree[blk.id])
+        r, k = profile.r, len(profile.grade_values)
+        assert by_grade.pop(1) == set(profile.block_degrees[:r])
+        assert by_grade == {g: {profile.block_degrees[r + g - 2]} for g in range(2, k + 1)}
+
+
+# -- the pair and r-uniform formulas as they were derived separately ----------
+
+
+def reference_pair_profile(t, epsilon, alpha, n2, bound, bound_is_local):
+    """The r = 2 numerology, derived for a pair of join blocks."""
+    a_size = math.ceil(alpha * t)
+    b_size = math.ceil(t / (4 * alpha))
+    if a_size >= t or b_size >= t or a_size < 1 or b_size < 1:
+        raise ParameterError("join parts")
+    forced = 2 * t - a_size - b_size
+    start = a_size + b_size - t
+    if start < 0:
+        raise ParameterError("negative start")
+    delta = epsilon / 2
+    if delta * t <= 2:
+        raise ParameterError("t too small")
+    if n2 is None:
+        values = tuple(_run_floor_recurrence(t, delta, start=start))
+    else:
+        if n2 <= start:
+            raise ParameterError("n2 below start")
+        values = (start,) + tuple(_run_floor_recurrence(t, delta, start=n2))
+    degrees = [a_size * b_size + (t - a_size), a_size * b_size + (t - b_size)]
+    degrees += [grade_block_degree(t, 2, values[j - 1], values[j]) for j in range(1, len(values))]
+    if any(d > (Fraction(1, 4) + epsilon) * t * t for d in degrees):
+        raise ParameterError("block degree")
+    max_deg = max(a_size, b_size, forced)
+    local = max(a_size, b_size, t - a_size, t - b_size, t - values[1])
+    if (local if bound_is_local else max_deg) > bound:
+        raise ParameterError("bound")
+    return DegreeBoundedProfile(
+        t, 2, epsilon, alpha, (a_size, b_size), forced, values, max_deg, bound, local,
+        tuple(degrees), predict_size(t, 2, values, gadget_parts=(a_size, b_size)),
+    )
+
+
+def reference_bounded_profile(t, epsilon, alpha=None):
+    alpha = DEFAULT_BOUNDED_ALPHA if alpha is None else alpha
+    if not Fraction(1, 2) <= alpha < 1:
+        raise ParameterError("alpha")
+    ratio = max(alpha, 2 - alpha - 1 / (4 * alpha))
+    return reference_pair_profile(t, epsilon, alpha, None, math.ceil(ratio * t), False)
+
+
+def reference_local_profile(t, epsilon):
+    alpha = LOCAL_ALPHA
+    n2 = math.ceil(1 / (2 - alpha - 1 / (4 * alpha)) * Fraction(t, 4))
+    return reference_pair_profile(t, epsilon, alpha, n2, math.ceil(LOCAL_DEGREE_RATIO * t), True)
+
+
+def reference_hypergraph_profile(t, r, epsilon=None, sequence_override=None):
+    """The r-uniform numerology, derived for an r-block join gadget."""
+    parts = hypergraph_bounded_parts(t, r)
+    c_r = threshold_constant(r)
+    forced = r * t - sum(parts)
+    values = _hypergraph_values(t, r, epsilon, sequence_override)
+    part_degrees = []
+    for i in range(r):
+        d = math.prod(parts[:i] + parts[i + 1 :])
+        if i < r - 2:
+            d += forced * t ** (r - 3)
+        part_degrees.append(d)
+    grade2_heavy = forced * t ** (r - 2)
+    tail = [(t - values[j - 1]) ** (r - 1) for j in range(2, len(values))]
+    max_deg = max(part_degrees + [grade2_heavy] + tail + [t ** (r - 2)])
+    bound = math.ceil((1 - c_r / 3) * t ** (r - 1)) + r
+    prod_all = math.prod(parts)
+    degrees = []
+    for i in range(r):
+        if i < r - 2:
+            degrees.append(prod_all + forced * t ** (r - 2))
+        else:
+            degrees.append(prod_all + (t - parts[i]) * t ** (r - 2))
+    degrees.append(values[1] * grade2_heavy + (t - values[1]) ** (r - 1))
+    degrees += [grade_block_degree(t, r, values[j - 1], values[j]) for j in range(2, len(values))]
+    if sequence_override is not None:
+        eps = max(Fraction(max(degrees), t**r) - c_r, Fraction(0))
+    else:
+        eps = Fraction(epsilon)
+        if max(degrees) > (c_r + eps) * t**r:
+            raise ParameterError("block degree")
+    if max_deg > bound:
+        raise ParameterError("bound")
+    return DegreeBoundedProfile(
+        t, r, eps, None, parts, forced, values, max_deg, bound, None,
+        tuple(degrees), predict_size(t, r, values, gadget_parts=parts),
+    )
+
+
+def _profile_grid():
+    eps = [Fraction(1, 20), Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(2, 5)]
+    for t in range(2, 90):
+        for e in eps:
+            for alpha in (None, Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
+                yield bounded_degree_profile, reference_bounded_profile, (t, e, alpha)
+            yield local_degree_profile, reference_local_profile, (t, e)
+            yield hypergraph_bounded_profile, reference_hypergraph_profile, (t, 2, e)
+        for r in (2, 3, 4):
+            for values in [(0, 1, t), (0, 3, t), (0, t // 3, t // 2, t), (0, 2, 1, t)]:
+                yield hypergraph_bounded_profile, reference_hypergraph_profile, (t, r, None, values)
+    # r = 4 admits its degree bound only where (1 - c_4/3) t is an integer
+    for t in (256, 512, 768):
+        for values in [(0, 3, t), (0, t // 3, t // 2, t)]:
+            yield hypergraph_bounded_profile, reference_hypergraph_profile, (t, 4, None, values)
+    for r, e, ts in [
+        (3, Fraction(1, 20), range(560, 1300, 41)),
+        (3, Fraction(7, 100), range(560, 1300, 41)),
+        (4, Fraction(1, 20), (1138, 1280, 1536)),
+    ]:
+        for t in ts:
+            yield hypergraph_bounded_profile, reference_hypergraph_profile, (t, r, e)
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except (ParameterError, SequenceError) as exc:
+        return type(exc)
+
+
+def test_one_gadget_numerology_matches_the_pair_and_hypergraph_references():
+    cases = list(_profile_grid())
+    outcomes = [(_outcome(fn, args), _outcome(ref, args)) for fn, ref, args in cases]
+    assert [args for (got, want), (_, _, args) in zip(outcomes, cases) if got != want] == []
+    profiles = sum(isinstance(got, DegreeBoundedProfile) for got, _ in outcomes)
+    assert profiles > len(cases) // 4  # the grid reaches past the refusals
+    assert {got.r for got, _ in outcomes if isinstance(got, DegreeBoundedProfile)} == {2, 3, 4}
 
 
 class TestHypergraphBoundedDegree:

@@ -295,3 +295,15 @@ class TestUsageErrors:
 
     def test_missing_file(self, capsys):
         assert main(["metrics", "/nonexistent/x.json"]) == 2
+
+    def test_directory_as_instance_is_an_error_line(self, tmp_path, capsys):
+        code, stdout, err = run(capsys, "metrics", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_directory_as_export_target_is_an_error_line(self, tmp_path, capsys):
+        inst = tmp_path / "s.json"
+        run(capsys, "gen", "--kind", "stars", "--k", "2", "--out", str(inst))
+        code, stdout, err = run(capsys, "export", str(inst), "--out", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err

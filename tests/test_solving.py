@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -19,8 +21,10 @@ from transversals import (
     Certificate,
     CertificateError,
     ForbiddenStep,
+    ForbiddenViaForcedStep,
     ForcedSetStep,
     GradeSequence,
+    JoinForcedStep,
     ParameterError,
     build_bounded_degree,
     build_forest,
@@ -482,6 +486,89 @@ class TestCheckCertificate:
         first = ForbiddenViaForcedStep(vertex=0, forced_step=0, witnesses=())
         with pytest.raises(CertificateError):
             check_certificate(inst, Certificate(cert.steps + (first,), cert.conclusion))
+
+
+@functools.lru_cache(maxsize=None)
+def planted_certificate(r):
+    """The first planted join instance of arity r that the engine refutes."""
+    rng = random.Random(20261021 + r)
+    while True:
+        inst = planted_join_instance(rng, r)
+        cert = propagate_certificate(inst)
+        if cert is not None:
+            return inst, cert
+
+
+STEP_KINDS = (ForcedSetStep, ForbiddenStep, JoinForcedStep, ForbiddenViaForcedStep)
+_ID = st.integers(-2, 60)
+_ATOM = st.one_of(
+    _ID, st.none(), st.booleans(), st.floats(allow_nan=False, width=16), st.text(max_size=2)
+)
+_SEQ = st.one_of(st.lists(_ATOM, max_size=4), st.lists(_ID, max_size=4).map(tuple))
+# anything a hand-built step field might hold: ids, wrong types, wrong nesting
+FIELD_VALUES = st.one_of(
+    _ATOM, _SEQ, st.lists(_SEQ, max_size=3).map(tuple), st.dictionaries(_ID, _ID, max_size=2)
+)
+
+
+@st.composite
+def hand_built_certificates(draw, steps):
+    """A real certificate with one step's field replaced, a made-up step
+    inserted, a foreign object as a step, or a bad conclusion."""
+    steps = list(steps)
+    how = draw(st.sampled_from(["field", "insert", "foreign", "conclusion"]))
+    conclusion = None
+    if how == "field":
+        i = draw(st.integers(0, len(steps) - 1))
+        field = draw(st.sampled_from([f.name for f in dataclasses.fields(steps[i])]))
+        steps[i] = dataclasses.replace(steps[i], **{field: draw(FIELD_VALUES)})
+    elif how == "insert":
+        kind = draw(st.sampled_from(STEP_KINDS))
+        fields = {f.name: draw(FIELD_VALUES) for f in dataclasses.fields(kind)}
+        steps.insert(draw(st.integers(0, len(steps))), kind(**fields))
+    elif how == "foreign":
+        steps.insert(draw(st.integers(0, len(steps))), draw(FIELD_VALUES))
+    else:
+        conclusion = draw(FIELD_VALUES)
+    if draw(st.booleans()):
+        steps = steps[: draw(st.integers(0, len(steps)))]
+    return steps, conclusion
+
+
+class TestCheckCertificateFuzz:
+    @pytest.mark.parametrize("r", [2, 3])
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_hand_built_steps_give_a_verdict_or_certificate_error(self, r, data):
+        inst, cert = planted_certificate(r)
+        steps, conclusion = data.draw(hand_built_certificates(cert.steps))
+        bad = Certificate(tuple(steps), cert.conclusion if conclusion is None else conclusion)
+        try:
+            verdict = check_certificate(inst, bad)
+        except CertificateError:
+            return
+        assert type(verdict) is bool
+
+    def test_wrongly_shaped_fields_raise_certificate_error(self):
+        inst = build_bounded_degree(14, Fraction(3, 10))
+        cert = propagate_certificate(inst)
+        changes = [
+            (JoinForcedStep, {"forced": (1, "a")}),
+            (JoinForcedStep, {"blocks": ([0], 1)}),
+            (JoinForcedStep, {"kept": (([0],), (1,))}),
+            (ForbiddenStep, {"witnesses": None}),
+            (ForcedSetStep, {"survivors": None}),
+            (ForcedSetStep, {"block": True}),
+            (ForbiddenViaForcedStep, {"forced_step": True}),
+        ]
+        for kind, change in changes:
+            i = next(i for i, step in enumerate(cert.steps) if isinstance(step, kind))
+            steps = list(cert.steps)
+            steps[i] = dataclasses.replace(steps[i], **change)
+            with pytest.raises(CertificateError):
+                check_certificate(inst, Certificate(tuple(steps), cert.conclusion))
+        with pytest.raises(CertificateError):
+            check_certificate(inst, Certificate(None, cert.conclusion))
 
 
 class TestFindTransversal:
