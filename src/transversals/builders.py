@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import BuildSizeError, ParameterError, SequenceError
-from .model import HEAVY, LIGHT, Block, PartitionedInstance, thickness
+from .model import HEAVY, LIGHT, Block, PartitionedInstance, _declared_t, thickness
 from .sequences import (
     GradeSequence,
     forest_grade_sequence,
@@ -668,8 +668,7 @@ def pad_blocks(
         )
     if target_n == current:
         return instance
-    t_str = instance.meta.get("t")
-    t = int(t_str) if t_str is not None and t_str.isdigit() else thickness(instance)
+    t = _declared_t(instance) or thickness(instance)
     if t < 1:
         raise ParameterError("cannot infer a positive block size for padding")
     nxt = instance.num_vertices

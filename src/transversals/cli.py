@@ -15,6 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .builders import BuildRecipe, build, pad_blocks
+from .certificate import (
+    check_certificate,
+    read_certificate,
+    serialize_certificate,
+    write_certificate,
+)
 from .errors import (
     BuildSizeError,
     CertificateError,
@@ -32,20 +38,13 @@ from .sequences import (
     simple_sequence,
 )
 from .serialization import (
+    _atomic_write,
     export_dot,
-    read_certificate,
     read_instance,
-    serialize_certificate,
     serialize_instance,
-    write_certificate,
     write_instance,
 )
-from .solving import (
-    check_certificate,
-    count_transversals,
-    find_transversal,
-    propagate_certificate,
-)
+from .solving import count_transversals, find_transversal, propagate_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -298,7 +297,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        _atomic_write(args.out, text.encode())
     return EXIT_OK
 
 

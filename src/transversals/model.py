@@ -119,6 +119,8 @@ class PartitionedInstance:
                 )
             if b.grade is not None and (type(b.grade) is not int or b.grade < 1):
                 raise InstanceError(f"invalid grade {b.grade!r}", f"block {i}")
+            if type(b.padding) is not bool:
+                raise InstanceError(f"padding must be a bool, got {b.padding!r}", f"block {i}")
             if b.size == 0 and not b.padding:
                 raise InstanceError(
                     f"block {i} is empty and not a padding block", f"block {i}"
@@ -417,14 +419,19 @@ def thickness(instance: PartitionedInstance) -> int:
     smaller than it; built instances never produce such blocks, so this is a
     guard for imported files.
     """
-    declared = instance.meta.get("t")
-    target = int(declared) if declared is not None and declared.isdigit() else None
-    sizes = []
-    for blk in instance.blocks:
-        if blk.padding and target is not None and blk.size < target:
-            continue
-        sizes.append(blk.size)
+    target = _declared_t(instance)
+    sizes = [b.size for b in instance.blocks if not (b.padding and b.size < target)]
     return min(sizes, default=0)
+
+
+def _declared_t(instance: PartitionedInstance) -> int:
+    """The block size ``meta["t"]`` declares as a run of digits, or 0 where it
+    declares none that ``int`` reads (such as "²", or 5000 digits)."""
+    declared = instance.meta.get("t", "")
+    try:
+        return int(declared) if declared.isdigit() else 0
+    except ValueError:
+        return 0
 
 
 def compute_metrics(instance: PartitionedInstance) -> InstanceMetrics:

@@ -1,13 +1,12 @@
-"""Canonical JSON interchange for instances and certificates, plus DOT export.
+"""Canonical JSON interchange for instances, plus DOT export.
 
-Both file formats are versioned and serialize byte-stably: keys are sorted,
-arrays keep construction order and no timestamps or environment data are
-embedded, so identical inputs always produce identical files.
+The instance format is versioned and serializes byte-stably: keys are
+sorted, arrays keep construction order and no timestamps or environment
+data are embedded, so identical inputs always produce identical files.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -17,17 +16,8 @@ from typing import Any, Iterable
 
 from .errors import InstanceError, ParseError
 from .model import HEAVY, LIGHT, Block, PartitionedInstance
-from .solving import (
-    Certificate,
-    ForbiddenStep,
-    ForbiddenViaForcedStep,
-    ForcedSetStep,
-    JoinForcedStep,
-    Step,
-)
 
 INSTANCE_VERSION = 1
-CERTIFICATE_VERSION = 1
 
 _COMPACT = (",", ":")  # json.dumps separators of the canonical text
 _VERTEX_END = {None: "}", HEAVY: ',"role":"heavy"}', LIGHT: ',"role":"light"}'}
@@ -122,7 +112,7 @@ def _parse_blocks(raw_blocks: Any) -> tuple[list[Block], list[Any]]:
                 id=block_id,
                 members=tuple(ids[start:]),
                 grade=raw.get("grade"),
-                padding=bool(raw.get("padding", False)),
+                padding=raw.get("padding", False),
             )
         )
     # Ids out of range or repeated are left unplaced here: the model rejects them.
@@ -139,96 +129,6 @@ def write_instance(instance: PartitionedInstance, path: str | Path) -> None:
 
 def read_instance(path: str | Path) -> PartitionedInstance:
     return parse_instance(Path(path).read_bytes())
-
-
-# -- certificates ----------------------------------------------------------------
-
-
-def serialize_certificate(cert: Certificate) -> bytes:
-    steps = [{"kind": _KIND_OF[type(step)], **vars(step)} for step in cert.steps]
-    obj = {"version": CERTIFICATE_VERSION, "steps": steps, "conclusion": cert.conclusion}
-    return (json.dumps(obj, sort_keys=True, separators=_COMPACT) + "\n").encode()
-
-
-def parse_certificate(data: bytes | str) -> Certificate:
-    obj = _load_json(data)
-    if not isinstance(obj, dict):
-        raise ParseError("top-level value must be an object")
-    if obj.get("version") != CERTIFICATE_VERSION:
-        raise ParseError(f"unsupported certificate version {obj.get('version')!r}")
-    raw_steps = obj.get("steps", [])
-    if not isinstance(raw_steps, list):
-        raise ParseError("steps must be an array")
-    steps: list[Step] = []
-    for i, raw in enumerate(raw_steps):
-        loc = f"step {i}"
-        if not isinstance(raw, dict):
-            raise ParseError("step must be an object", location=loc)
-        kind = raw.get("kind")
-        entry = _STEP_KINDS.get(kind) if isinstance(kind, str) else None
-        if entry is None:
-            raise ParseError(f"unknown step kind {kind!r}", location=loc)
-        cls, fields = entry
-        try:
-            steps.append(cls(*[parse(raw[key], loc) for key, parse in fields]))
-        except KeyError as exc:
-            raise ParseError(f"step missing field {exc}", location=loc) from exc
-    conclusion = obj.get("conclusion")
-    if not _is_int(conclusion):
-        raise ParseError(f"invalid conclusion {conclusion!r}")
-    return Certificate(steps=tuple(steps), conclusion=conclusion)
-
-
-def _is_int(value: Any) -> bool:
-    """JSON integers only.  ``true`` and ``false`` parse to ``bool``, an
-    ``int`` subclass, hence ``type(...) is int`` here and in ``_only``."""
-    return type(value) is int
-
-
-def _only(values: Iterable[Any], cls: type) -> bool:
-    """Whether every value is exactly of type ``cls``, in one pass."""
-    return set(map(type, values)) <= {cls}
-
-
-def _int(value: Any, loc: str) -> int:
-    if not _is_int(value):
-        raise ParseError(f"expected an integer, got {value!r}", location=loc)
-    return value
-
-
-def _ints(value: Any, loc: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not _only(value, int):
-        raise ParseError("expected an array of integers", location=loc)
-    return tuple(value)
-
-
-def _kept(value: Any, loc: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(value, list):
-        raise ParseError("kept must be an array of arrays", location=loc)
-    return tuple(_ints(part, loc) for part in value)
-
-
-# The certificate step kinds: each JSON kind name, its class and a parser for
-# each of the class's fields, in field order.  A step's JSON keys are "kind"
-# and the field names.  Steps are built positionally, as parsing is hot.
-_STEP_KINDS = {
-    kind: (cls, tuple(zip((f.name for f in dataclasses.fields(cls)), parsers, strict=True)))
-    for kind, cls, parsers in [
-        ("forced", ForcedSetStep, (_int, _ints)),
-        ("forbidden", ForbiddenStep, (_int, _ints)),
-        ("join_forced", JoinForcedStep, (_ints, _kept, _ints)),
-        ("forbidden_via_forced", ForbiddenViaForcedStep, (_int, _int, _ints)),
-    ]
-}
-_KIND_OF = {cls: kind for kind, (cls, _) in _STEP_KINDS.items()}
-
-
-def write_certificate(cert: Certificate, path: str | Path) -> None:
-    _atomic_write(Path(path), serialize_certificate(cert))
-
-
-def read_certificate(path: str | Path) -> Certificate:
-    return parse_certificate(Path(path).read_bytes())
 
 
 # -- DOT export ------------------------------------------------------------------
@@ -263,7 +163,18 @@ def export_dot(instance: PartitionedInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- helpers ---------------------------------------------------------------------
+# -- helpers (the certificate format uses them too) -------------------------------
+
+
+def _is_int(value: Any) -> bool:
+    """JSON integers only.  ``true`` and ``false`` parse to ``bool``, an
+    ``int`` subclass, hence ``type(...) is int`` here and in ``_only``."""
+    return type(value) is int
+
+
+def _only(values: Iterable[Any], cls: type) -> bool:
+    """Whether every value is exactly of type ``cls``, in one pass."""
+    return {cls}.issuperset(map(type, values))
 
 
 def _load_json(data: bytes | str) -> Any:

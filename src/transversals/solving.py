@@ -11,7 +11,7 @@ Two independent engines:
   built once per instance, each engine copying only the counts), kept up to
   date as vertices are forbidden, so the join phase never rescans the edges
   (residual support counting, Lecoutre and Hemery, IJCAI 2007).  An emptied
-  block ends the ordered log, a replayable :class:`Certificate`.
+  block ends the ordered log, a :class:`Certificate` for ``certificate`` to replay.
 
 * :func:`find_transversal` is exact backtracking (fewest-survivors block
   first) pruned by the same propagation; :func:`count_transversals` is a
@@ -28,65 +28,19 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Union
+from typing import Iterator
 
-from .errors import CertificateError, ParameterError
+from .certificate import (
+    Certificate,
+    ForbiddenStep,
+    ForbiddenViaForcedStep,
+    ForcedSetStep,
+    JoinForcedStep,
+    Step,
+)
+from .errors import ParameterError
 from .model import PartitionedInstance, _all_block_degrees, thickness
 from .sequences import threshold_constant
-
-# -- certificate steps --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ForcedSetStep:
-    """Snapshot: the surviving vertices of a block form a forced set."""
-
-    block: int
-    survivors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ForbiddenStep:
-    """The vertex is joined to every survivor tuple of the witness blocks."""
-
-    vertex: int
-    witnesses: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class JoinForcedStep:
-    """A complete join between survivor parts makes the rest forced.
-
-    ``kept`` lists, per block, the surviving part of the join; every cross
-    tuple over the kept parts is an edge, so a transversal cannot pick from
-    all kept parts simultaneously and must hit ``forced``.
-    """
-
-    blocks: tuple[int, ...]
-    kept: tuple[tuple[int, ...], ...]
-    forced: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ForbiddenViaForcedStep:
-    """The vertex is joined to every survivor of a derived forced set,
-    combined with all survivor tuples of the witness blocks (r-2 of them;
-    none for graphs)."""
-
-    vertex: int
-    forced_step: int
-    witnesses: tuple[int, ...]
-
-
-Step = Union[ForcedSetStep, ForbiddenStep, JoinForcedStep, ForbiddenViaForcedStep]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """An ordered deduction log ending in a block with no survivors."""
-
-    steps: tuple[Step, ...]
-    conclusion: int
 
 
 @dataclass(frozen=True)
@@ -503,136 +457,6 @@ def propagate_certificate(instance: PartitionedInstance) -> Certificate | None:
             return None
         if prop.emptied is not None:
             return Certificate(steps=tuple(prop.steps), conclusion=prop.emptied)
-
-
-def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
-    """Replay a certificate step by step without any search.
-
-    Malformed steps (a field of the wrong type or shape, an id that is not
-    an ``int``, or one out of range) raise :class:`CertificateError`;
-    logically unjustified steps make the replay return False.
-    """
-    n = instance.num_vertices
-    num_blocks = instance.num_blocks
-    edge_set = set(instance.edges)
-    forbidden = [False] * n
-    last_forced: dict[int, tuple[int, ...]] = {}
-
-    def survivors(b: int) -> tuple[int, ...]:
-        return tuple(v for v in instance.blocks[b].members if not forbidden[v])
-
-    def check_block(b: int) -> None:
-        if type(b) is not int or not 0 <= b < num_blocks:
-            raise CertificateError(f"unknown block id {b!r}")
-
-    def check_vertex(v: int) -> None:
-        if type(v) is not int or not 0 <= v < n:
-            raise CertificateError(f"unknown vertex id {v!r}")
-
-    def seq(value: object, what: str) -> tuple:
-        try:
-            return tuple(value)  # type: ignore[arg-type]
-        except TypeError:
-            raise CertificateError(f"{what} {value!r} is not a sequence") from None
-
-    def ids(value: object, what: str) -> tuple[int, ...]:
-        out = seq(value, what)
-        if not {int}.issuperset(map(type, out)):
-            raise CertificateError(f"{what} {value!r} holds an id that is not an int")
-        return out
-
-    steps = seq(cert.steps, "steps")
-    for idx, step in enumerate(steps):
-        if isinstance(step, ForcedSetStep):
-            check_block(step.block)
-            surv = ids(step.survivors, "survivors")
-            if surv != survivors(step.block):
-                return False
-            last_forced[step.block] = surv
-        elif isinstance(step, ForbiddenStep):
-            check_vertex(step.vertex)
-            wits = ids(step.witnesses, "witnesses")
-            if len(wits) != instance.r - 1 or len(set(wits)) != len(wits):
-                return False
-            v = step.vertex
-            if forbidden[v]:
-                return False
-            bv = instance.block_of(v)
-            sets = []
-            for b in wits:
-                check_block(b)
-                if b == bv or b not in last_forced:
-                    return False
-                sets.append(last_forced[b])
-            if any(not s for s in sets):
-                return False
-            for combo in itertools.product(*sets):
-                if tuple(sorted((v, *combo))) not in edge_set:
-                    return False
-            forbidden[v] = True
-        elif isinstance(step, JoinForcedStep):
-            blocks = ids(step.blocks, "blocks")
-            if len(blocks) != instance.r or len(set(blocks)) != len(blocks):
-                return False
-            for b in blocks:
-                check_block(b)
-            kept = tuple(ids(k, "kept part") for k in seq(step.kept, "kept"))
-            forced = ids(step.forced, "forced")
-            if len(kept) != len(blocks):
-                return False
-            expected_forced: list[int] = []
-            for b, part in zip(blocks, kept):
-                surv = set(survivors(b))
-                if not set(part) <= surv:
-                    return False
-                if not part:
-                    return False
-                expected_forced.extend(sorted(surv - set(part)))
-            if sorted(expected_forced) != sorted(forced):
-                return False
-            for combo in itertools.product(*kept):
-                if tuple(sorted(combo)) not in edge_set:
-                    return False
-        elif isinstance(step, ForbiddenViaForcedStep):
-            check_vertex(step.vertex)
-            ref = step.forced_step
-            if type(ref) is not int or not 0 <= ref < idx:
-                raise CertificateError(f"forced-step reference {ref!r} out of range")
-            forced_step = steps[ref]
-            if not isinstance(forced_step, JoinForcedStep):
-                raise CertificateError(
-                    f"step {ref} referenced as forced set is {type(forced_step).__name__}"
-                )
-            v = step.vertex
-            if forbidden[v]:
-                return False
-            alive = [s for s in forced_step.forced if not forbidden[s]]
-            if not alive:
-                return False
-            wits = ids(step.witnesses, "witnesses")
-            if len(wits) != instance.r - 2 or len(set(wits)) != len(wits):
-                return False
-            wit_sets = []
-            for b in wits:
-                check_block(b)
-                surv = survivors(b)
-                if not surv:
-                    return False
-                wit_sets.append(surv)
-            # Degenerate tuples (repeating v or s) cannot be edges, so the
-            # containment test below rejects them automatically.
-            for s in alive:
-                for combo in itertools.product(*wit_sets):
-                    if len({v, s, *combo}) != instance.r:
-                        return False
-                    if tuple(sorted((v, s, *combo))) not in edge_set:
-                        return False
-            forbidden[v] = True
-        else:
-            raise CertificateError(f"unknown step type {type(step).__name__}")
-
-    check_block(cert.conclusion)
-    return len(survivors(cert.conclusion)) == 0
 
 
 # -- exact search -----------------------------------------------------------------

@@ -282,6 +282,16 @@ class TestExport:
         assert code == 0
         assert stdout.count("subgraph cluster_") == 5
 
+    def test_export_out_creates_its_directory_and_matches_stdout(self, tmp_path, capsys):
+        inst = tmp_path / "s.json"
+        run(capsys, "gen", "--kind", "stars", "--k", "2", "--out", str(inst))
+        _, dot_text, _ = run(capsys, "export", str(inst))
+        out = tmp_path / "new" / "dir" / "s.dot"
+        code, stdout, _ = run(capsys, "export", str(inst), "--out", str(out))
+        assert (code, stdout) == (0, "")
+        assert out.read_bytes() == dot_text.encode()
+        assert list(out.parent.iterdir()) == [out]  # no temporary file left behind
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

@@ -23,6 +23,7 @@ from transversals import (
     build_local_degree,
     build_star_counterexample,
     check_certificate,
+    compute_metrics,
     export_dot,
     pad_blocks,
     parse_certificate,
@@ -35,6 +36,7 @@ from transversals import (
     simple_sequence,
     write_instance,
 )
+from transversals.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
 STEP_KINDS = {
@@ -190,6 +192,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="vertices must be an array"):
             parse_instance(json.dumps(obj))
 
+    @pytest.mark.parametrize("padding", ["false", "true", 1, None])
+    def test_padding_that_is_not_a_boolean(self, padding):
+        obj = self._base_obj()
+        obj["blocks"][1]["padding"] = padding
+        with pytest.raises(ParseError, match="padding must be a bool") as err:
+            parse_instance(json.dumps(obj))
+        assert err.value.location == "block 1"
+
     def test_empty_block_that_is_not_padding(self):
         obj = self._base_obj()
         obj["blocks"].append({"id": 2, "vertices": []})
@@ -290,6 +300,30 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=message) as err:
             parse_certificate(data)
         assert err.value.location == "step 0"
+
+
+class TestDeclaredT:
+    """A meta "t" that int() cannot read is no declared t: it neither crashes
+    nor excludes the small padding block that a declared t = 3 excludes."""
+
+    def _data(self, t):
+        # a t=3 forest and one padding block cut down to one vertex
+        obj = json.loads(serialize_instance(pad_blocks(build_forest(3, seq_of(3, [0, 3])), 5)))
+        del obj["blocks"][-1]["vertices"][1:]
+        obj["meta"]["t"] = t
+        return json.dumps(obj)
+
+    @pytest.mark.parametrize(
+        "t, size", [("3", 3), ("²", 1), ("9" * 5000, 1), ("-3", 1)], ids=["3", "sup2", "5000", "-3"]
+    )
+    def test_parse_metrics_pad_and_cli(self, t, size, tmp_path, capsys):
+        inst = parse_instance(self._data(t))
+        assert compute_metrics(inst).thickness == size
+        assert pad_blocks(inst, 6).blocks[-1].size == size
+        path = tmp_path / "inst.json"
+        path.write_text(self._data(t))
+        assert cli_main(["metrics", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["thickness"] == size
 
 
 class TestCertificateSerialization:

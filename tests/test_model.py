@@ -43,6 +43,13 @@ def test_partition_invariants_enforced():
         PartitionedInstance(2, [Block(0, ())], [])
 
 
+@pytest.mark.parametrize("padding", [1, 0, "false", None])
+def test_padding_must_be_a_bool(padding):
+    with pytest.raises(InstanceError, match="padding must be a bool") as err:
+        PartitionedInstance(2, [Block(0, (0, 1)), Block(1, (2,), padding=padding)], [])
+    assert err.value.location == "block 1"
+
+
 def test_violations_name_their_location():
     with pytest.raises(InstanceError) as err:
         make_instance(2, [[0, 1], [1, 2]], [])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -26,6 +27,7 @@ from transversals import (
     GradeSequence,
     JoinForcedStep,
     ParameterError,
+    ParseError,
     build_bounded_degree,
     build_forest,
     build_hypergraph,
@@ -37,8 +39,10 @@ from transversals import (
     count_transversals,
     find_transversal,
     pad_blocks,
+    parse_certificate,
     propagate_certificate,
     read_instance,
+    relabel,
     serialize_certificate,
     simple_sequence,
 )
@@ -291,10 +295,10 @@ class TestPropagationState:
 
 @st.composite
 def small_hypergraphs(draw):
-    """r in {3, 4}, r to r + 2 blocks of one to three vertices, and up to 40
-    edges: mostly one vertex from each of r distinct blocks, the others any
-    r vertices, which may repeat a block."""
-    r = draw(st.sampled_from([3, 4]))
+    """r in {2, 3, 4}, r to r + 2 blocks of one to three vertices, and up to
+    40 edges: mostly one vertex from each of r distinct blocks, the others
+    any r vertices, which may repeat a block."""
+    r = draw(st.sampled_from([2, 3, 4]))
     sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r + 2))
     starts = list(itertools.accumulate(sizes, initial=0))
     blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
@@ -306,9 +310,9 @@ def small_hypergraphs(draw):
 
 
 def forced_set_hits_from_the_edges(prop, forced):
-    """The r >= 3 forced-set rule recomputed from the edges: for each alive
-    forced s, every live edge through s and no other alive forced vertex
-    gives each of its other vertices u the sorted blocks of the rest."""
+    """The forced-set rule recomputed from the edges: for each alive forced
+    s, every live edge through s and no other alive forced vertex gives each
+    of its other vertices u the sorted blocks of the rest (none for r = 2)."""
     alive = [s for s in forced if not prop.forbidden[s]]
     pairs = None
     for s in alive:
@@ -350,13 +354,18 @@ class TestEnginesAgree:
                 assert prop._forced_set_hits(forced) == forced_set_hits_from_the_edges(prop, forced)
 
     @settings(max_examples=250, derandomize=True, database=None, deadline=None)
-    @given(small_hypergraphs())
-    def test_certificate_and_search_agree_with_the_count(self, inst):
+    @given(small_hypergraphs(), st.data())
+    def test_certificate_and_search_agree_with_the_count(self, inst, data):
         count = count_transversals(inst).count
         cert = propagate_certificate(inst)
         if cert is not None:
             assert check_certificate(inst, cert)
             assert count == 0
+        moved = relabel(inst, data.draw(st.permutations(range(inst.num_vertices))))
+        moved_cert = propagate_certificate(moved)
+        assert (moved_cert is None) == (cert is None)
+        if moved_cert is not None:
+            assert check_certificate(moved, moved_cert)
         report = find_transversal(inst)
         assert (report.outcome == "found") == (count > 0)
         if report.outcome == "found":
@@ -486,6 +495,55 @@ class TestCheckCertificate:
         first = ForbiddenViaForcedStep(vertex=0, forced_step=0, witnesses=())
         with pytest.raises(CertificateError):
             check_certificate(inst, Certificate(cert.steps + (first,), cert.conclusion))
+
+
+    def test_fields_are_lists_or_tuples_of_ints(self):
+        # any other iterable is refused, not converted
+        inst, cert = self._forest_and_cert()
+        i = next(i for i, step in enumerate(cert.steps) if isinstance(step, ForcedSetStep))
+
+        def replay(container):
+            steps = list(cert.steps)
+            steps[i] = dataclasses.replace(steps[i], survivors=container(steps[i].survivors))
+            return check_certificate(inst, Certificate(tuple(steps), cert.conclusion))
+
+        assert replay(list) and replay(tuple)
+        for container in (iter, set, dict.fromkeys):
+            with pytest.raises(CertificateError, match="expected an array of integers"):
+                replay(container)
+
+    def test_parser_and_replay_refuse_a_field_alike(self):
+        inst, cert = self._forest_and_cert()
+        step = next(step for step in cert.steps if isinstance(step, ForcedSetStep))
+        for field, bad in [("survivors", [True]), ("survivors", 5), ("block", "0"), ("block", 1.0)]:
+            raw = {"kind": "forced", **vars(step), field: bad}
+            with pytest.raises(ParseError) as parsed:
+                parse_certificate(json.dumps({"version": 1, "steps": [raw], "conclusion": 0}))
+            built = Certificate((dataclasses.replace(step, **{field: bad}),), 0)
+            with pytest.raises(CertificateError) as replayed:
+                check_certificate(inst, built)
+            assert str(parsed.value) == f"{replayed.value} (at step 0)"
+
+    def test_checker_imports_nothing_from_the_engine_or_the_search(self):
+        # a certificate is replayed by code that shares nothing with the code
+        # that wrote it, so the checker may not import the engine, the search,
+        # the builders or the CLI; nor may serialization, which it imports
+        import ast
+
+        import transversals
+
+        def imported(module):
+            path = Path(transversals.__file__).parent / f"{module}.py"
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    yield from (node.module or "").split(".")
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    yield from (part for alias in node.names for part in alias.name.split("."))
+
+        assert {"model", "errors", "serialization"} <= set(imported("certificate"))
+        assert not {"solving", "builders", "sequences", "cli"} & set(imported("certificate"))
+        assert "solving" not in set(imported("serialization"))
 
 
 @functools.lru_cache(maxsize=None)
