@@ -45,7 +45,7 @@ class SequenceError(ValueError):
 
 
 class CertificateError(ValueError):
-    """A certificate step references unknown vertices, blocks or steps."""
+    """A certificate step has a field of the wrong shape, or an unknown id."""
 
 
 class ParseError(ValueError):

@@ -19,6 +19,7 @@ from conftest import (
 )
 
 from transversals import (
+    Block,
     Certificate,
     CertificateError,
     ForbiddenStep,
@@ -28,6 +29,7 @@ from transversals import (
     JoinForcedStep,
     ParameterError,
     ParseError,
+    PartitionedInstance,
     build_bounded_degree,
     build_forest,
     build_hypergraph,
@@ -496,6 +498,44 @@ class TestCheckCertificate:
         with pytest.raises(CertificateError):
             check_certificate(inst, Certificate(cert.steps + (first,), cert.conclusion))
 
+
+    # Each instance gets an empty padding block to conclude at, so that a
+    # certificate replays True exactly when each of its steps is justified.
+    GRAPH = (2, [[0, 1], [2, 3], [4, 5]], [(0, 2), (0, 3), (2, 4), (3, 4)])
+    TRIPLES = (3, [[0, 1], [2], [3]], [(0, 2, 3), (1, 2, 3)])
+    JOIN = JoinForcedStep((0, 1), ((0,), (2, 3)), (1,))
+    JOIN3 = JoinForcedStep((0, 1, 2), ((0,), (2,), (3,)), (1,))
+
+    @pytest.mark.parametrize(
+        "instance, steps, verdict",
+        [
+            (GRAPH, [JOIN], True),
+            (GRAPH, [JoinForcedStep((0, 1), ((0, 1), ()), (2, 3))], False),
+            (GRAPH, [JoinForcedStep((0, 1), ((0, 4), (2, 3)), (1,))], False),
+            (GRAPH, [ForcedSetStep(1, (2, 3)), ForbiddenStep(0, (1,))], True),
+            (GRAPH, [ForcedSetStep(1, (2, 3)), ForbiddenStep(-1, (1,))], CertificateError),
+            (GRAPH, [ForbiddenStep(0, (7,))], CertificateError),
+            (GRAPH, [JOIN, ForbiddenViaForcedStep(-1, 0, ())], CertificateError),
+            (TRIPLES, [JOIN3, ForbiddenViaForcedStep(2, 0, (2,))], True),
+            (TRIPLES, [JOIN3, ForbiddenViaForcedStep(0, 0, (2,))], False),
+            # no alive forced vertex is found before the unknown witness block
+            (TRIPLES, [JOIN3, ForcedSetStep(1, (2,)), ForcedSetStep(2, (3,)),
+                       ForbiddenStep(1, (1, 2)), ForbiddenViaForcedStep(0, 0, (99,))], False),
+        ],
+        ids=["join", "empty-kept-part", "kept-outside-block", "forbidden", "unknown-vertex",
+             "unknown-witness", "unknown-via-vertex", "via-forced", "via-non-edge",
+             "no-alive-forced"],
+    )
+    def test_hand_built_steps(self, instance, steps, verdict):
+        r, blocks, edges = instance
+        members = [Block(i, tuple(b)) for i, b in enumerate(blocks)]
+        inst = PartitionedInstance(r, [*members, Block(len(blocks), (), padding=True)], edges)
+        cert = Certificate(tuple(steps), len(blocks))
+        if verdict is CertificateError:
+            with pytest.raises(CertificateError):
+                check_certificate(inst, cert)
+        else:
+            assert check_certificate(inst, cert) is verdict
 
     def test_fields_are_lists_or_tuples_of_ints(self):
         # any other iterable is refused, not converted
