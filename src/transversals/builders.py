@@ -1,27 +1,30 @@
 """Materialize the extremal constructions as concrete partitioned instances.
 
-All builders share one recursion: a unit of grade j+1 is a fresh block with
-n_{j+1} heavy and t - n_{j+1} light vertices, where each heavy vertex owns a
-private consumable built beforehand (an (r-1)-tuple of grade-j units, or a
-join gadget at grade 1 for the degree-bounded variants) and is joined to all
-attachment tuples of that consumable.  Ids are assigned depth-first over the
+All builders share one recursion of units.  A grade-1 unit is one block of t
+light vertices.  A unit of grade j+1 is a fresh block with n_{j+1} heavy and
+t - n_{j+1} light vertices, built after a private consumable for each heavy
+vertex: r - 1 fresh grade-j units or, at grade 2 of the degree-bounded
+variants, a join gadget.  The consumable is data, the edge heads that its
+heavy vertex completes into edges.  Ids are assigned depth-first over the
 copies with the root block last, so rebuilding with the same recipe is
 byte-identical.
 
 The block count multiplies by roughly n_j (r-1) per grade, so full builds
-blow up quickly; every builder predicts its size first and refuses builds
-beyond ``max_cells`` with the exact totals attached.  The ``*_profile``
-functions compute the complete exact numerology (part sizes, degree profile,
-per-grade block degrees, predicted sizes) without materializing anything.
+blow up quickly; every builder first predicts its size with ``predict_size``,
+which walks the same recursion, and refuses builds beyond ``max_cells`` with
+the exact totals attached.  The ``*_profile`` functions compute the complete
+exact numerology (part sizes, degree profile, per-grade block degrees,
+predicted sizes) without materializing anything.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import BuildSizeError, ParameterError, SequenceError
 from .model import HEAVY, LIGHT, Block, PartitionedInstance, _declared_t, thickness
@@ -133,60 +136,31 @@ class _Accum:
         return PartitionedInstance(self.r, self.blocks, self.edges, roles=self.roles, meta=meta)
 
 
-# -- shared recursion ---------------------------------------------------------
-
-Consumable = Callable[["_Accum"], Callable[[int], None]]
+# -- the unit recursion ---------------------------------------------------------
 
 
-def _product_attach(acc: _Accum, light_sets: tuple[tuple[int, ...], ...]):
-    def attach(v: int) -> None:
-        acc.edges.extend((*combo, v) for combo in itertools.product(*light_sets))
-
-    return attach
-
-
-def _plain_grade1(t: int, r: int) -> Consumable:
-    """(r-1) fresh single-block grade-1 units of t light vertices each."""
-
-    def consumable(acc: _Accum):
-        sets = []
-        for _ in range(r - 1):
-            lights, _ = acc.add_block(1, t, 0)
-            sets.append(lights)
-        return _product_attach(acc, tuple(sets))
-
-    return consumable
-
-
-def _join_gadget(t: int, r: int, part_sizes: tuple[int, ...]) -> Consumable:
+def _join_gadget(
+    acc: _Accum, t: int, r: int, part_sizes: tuple[int, ...]
+) -> list[tuple[int, ...]]:
     """Grade-1 gadget: r blocks carrying a complete r-partite join.
 
     The join parts are the heavy tails of the blocks; the remaining light
-    vertices form the forced set.  Heavy vertices of the consuming grade are
-    joined to every forced vertex combined with all tuples over the first
-    r - 2 blocks (which have full-size parts, hence no forced vertices).
+    vertices form the forced set.  Returns the consuming heavy vertex's edge
+    heads: every forced vertex combined with all tuples over the first r - 2
+    blocks (which have full-size parts, hence no forced vertices).
     """
-
-    def consumable(acc: _Accum):
-        parts: list[tuple[int, ...]] = []
-        witness_blocks: list[tuple[int, ...]] = []
-        forced: list[int] = []
-        for i, m in enumerate(part_sizes):
-            lights, heavies = acc.add_block(1, t - m, m)
-            parts.append(heavies)
-            if i < r - 2:
-                witness_blocks.append(lights + heavies)
-            else:
-                forced.extend(lights)
-        acc.edges.extend(itertools.product(*parts))
-
-        def attach(v: int) -> None:
-            for s in forced:
-                acc.edges.extend((*xs, s, v) for xs in itertools.product(*witness_blocks))
-
-        return attach
-
-    return consumable
+    parts: list[tuple[int, ...]] = []
+    witness_blocks: list[tuple[int, ...]] = []
+    forced: list[int] = []
+    for i, m in enumerate(part_sizes):
+        lights, heavies = acc.add_block(1, t - m, m)
+        parts.append(heavies)
+        if i < r - 2:
+            witness_blocks.append(lights + heavies)
+        else:
+            forced.extend(lights)
+    acc.edges.extend(itertools.product(*parts))
+    return [(*xs, s) for s in forced for xs in itertools.product(*witness_blocks)]
 
 
 def _build_tree(
@@ -195,23 +169,30 @@ def _build_tree(
     t: int,
     values: Sequence[int],
     r: int,
-    grade1: Consumable,
+    gadget_parts: tuple[int, ...] | None,
 ) -> tuple[int, ...]:
-    """Build one unit of the given grade (>= 2); return its root light set."""
+    """Build one unit of the given grade; return its light set.
+
+    A grade-1 unit is one block of t light vertices.  Each heavy vertex of a
+    higher unit completes the edge heads of its private consumable: every
+    tuple across the light sets of r - 1 fresh lower units or, at grade 2
+    with ``gadget_parts``, the heads of a fresh join gadget.
+    """
+    if grade == 1:
+        return acc.add_block(1, t, 0)[0]
     n = values[grade - 1]
-    attachers = []
-    for _ in range(n):
-        if grade == 2:
-            attachers.append(grade1(acc))
-        else:
-            subs = tuple(
-                _build_tree(acc, grade - 1, t, values, r, grade1)
-                for _ in range(r - 1)
-            )
-            attachers.append(_product_attach(acc, subs))
+    consumables = [
+        _join_gadget(acc, t, r, gadget_parts)
+        if grade == 2 and gadget_parts is not None
+        else itertools.product(
+            *[_build_tree(acc, grade - 1, t, values, r, gadget_parts) for _ in range(r - 1)]
+        )
+        for _ in range(n)
+    ]
     lights, heavies = acc.add_block(grade, t - n, n)
-    for heavy, attach in zip(heavies, attachers):
-        attach(heavy)
+    for v, heads in zip(heavies, consumables):
+        # head + (v,) through map, which holds no head, so product reuses its tuple
+        acc.edges.extend(map(operator.add, heads, itertools.repeat((v,))))
     return lights
 
 
@@ -224,28 +205,20 @@ def predict_size(
     values: Sequence[int],
     gadget_parts: tuple[int, ...] | None = None,
 ) -> SizePrediction:
-    """Blocks, vertices and edges of the recursive build, without building it."""
-    k = len(values)
-    if gadget_parts is None:
-        unit_blocks = r - 1  # grade-2 consumable: (r-1) plain grade-1 blocks
-        unit_edges = 0
-        grade2_heavy_degree = (t - values[0]) ** (r - 1)
-    else:
-        unit_blocks = r
-        unit_edges = math.prod(gadget_parts)
-        forced = r * t - sum(gadget_parts)
-        grade2_heavy_degree = forced * t ** (r - 2)
+    """Blocks, vertices and edges of the recursive build, without building it.
 
-    blocks = unit_blocks
-    edges = unit_edges
-    for j in range(1, k):
-        n = values[j]
-        if j == 1:
-            blocks = 1 + n * blocks
-            edges = n * (edges + grade2_heavy_degree)
+    Walks the build's recursion up from a grade-1 unit (one block, no
+    edges), with the same one special case: grade 2 on join gadgets.
+    """
+    blocks, edges = 1, 0
+    for j in range(1, len(values)):
+        if j == 1 and gadget_parts is not None:
+            forced = r * t - sum(gadget_parts)
+            sub_blocks, sub_edges, heads = r, math.prod(gadget_parts), forced * t ** (r - 2)
         else:
-            edges = n * ((r - 1) * edges + (t - values[j - 1]) ** (r - 1))
-            blocks = 1 + n * (r - 1) * blocks
+            sub_blocks, sub_edges = (r - 1) * blocks, (r - 1) * edges
+            heads = (t - values[j - 1]) ** (r - 1)
+        blocks, edges = 1 + values[j] * sub_blocks, values[j] * (sub_edges + heads)
     return SizePrediction(blocks=blocks, vertices=blocks * t, edges=edges)
 
 
@@ -364,12 +337,8 @@ def _build_recursive(
     ``gadget_parts``; refuse it first if the prediction exceeds the budget."""
     pred = predict_size(t, r, values, gadget_parts)
     _check_budget(pred, max_cells, meta["builder"])
-    if gadget_parts is None:
-        grade1 = _plain_grade1(t, r)
-    else:
-        grade1 = _join_gadget(t, r, gadget_parts)
     acc = _Accum(r)
-    _build_tree(acc, len(values), t, values, r, grade1)
+    _build_tree(acc, len(values), t, values, r, gadget_parts)
     inst = acc.finish(meta)
     if inst.num_blocks != pred.blocks or len(inst.edges) != pred.edges:
         raise AssertionError(
@@ -691,9 +660,32 @@ def pad_blocks(
 # -- recipe dispatch -----------------------------------------------------------
 
 
+# The recipe fields each kind reads besides ``kind``; the others must keep
+# their defaults (r = 2 for the graph kinds).  An explicit sequence wins over
+# epsilon, which stays accepted beside it.
+_RECIPE_READS = {
+    "forest": {"t", "epsilon", "sequence_override"},
+    "bounded_degree": {"t", "epsilon", "alpha"},
+    "local_degree": {"t", "epsilon"},
+    "hypergraph": {"t", "r", "epsilon", "sequence_override"},
+    "hypergraph_bounded_degree": {"t", "r", "epsilon", "sequence_override"},
+    "stars": {"k_stars"},
+}
+
+
 def build(recipe: BuildRecipe, max_cells: int | None = DEFAULT_MAX_CELLS) -> PartitionedInstance:
-    """Build from a flag-level recipe (the CLI entry point)."""
+    """Build from a flag-level recipe (the CLI entry point).  A field that
+    the recipe's kind does not read raises :class:`ParameterError`."""
     kind = recipe.kind
+    if kind not in _RECIPE_READS:
+        raise ParameterError(f"unknown build kind {kind!r}")
+    unread = [
+        f"{f.name}={getattr(recipe, f.name)}"
+        for f in fields(recipe)
+        if f.name not in _RECIPE_READS[kind] | {"kind"} and getattr(recipe, f.name) != f.default
+    ]
+    if unread:
+        raise ParameterError(f"kind {kind!r} does not read {', '.join(unread)}")
     if kind == "stars":
         if recipe.k_stars is None:
             raise ParameterError("stars need k")
@@ -721,8 +713,6 @@ def build(recipe: BuildRecipe, max_cells: int | None = DEFAULT_MAX_CELLS) -> Par
         return build_hypergraph(
             t, recipe.r, recipe.epsilon, recipe.sequence_override, max_cells=max_cells
         )
-    if kind == "hypergraph_bounded_degree":
-        return build_hypergraph_bounded_degree(
-            t, recipe.r, recipe.epsilon, recipe.sequence_override, max_cells=max_cells
-        )
-    raise ParameterError(f"unknown build kind {recipe.kind!r}")
+    return build_hypergraph_bounded_degree(
+        t, recipe.r, recipe.epsilon, recipe.sequence_override, max_cells=max_cells
+    )

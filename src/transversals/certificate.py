@@ -115,9 +115,29 @@ _KIND_OF = {cls: (kind, checks) for kind, (cls, checks) in _STEP_KINDS.items()}
 
 
 def serialize_certificate(cert: Certificate) -> bytes:
-    steps = [{"kind": _KIND_OF[type(step)][0], **vars(step)} for step in cert.steps]
-    obj = {"version": CERTIFICATE_VERSION, "steps": steps, "conclusion": cert.conclusion}
-    return (json.dumps(obj, sort_keys=True, separators=_COMPACT) + "\n").encode()
+    """The certificate as JSON.  Fields are written as they are, unchecked;
+    a step that JSON cannot write raises :class:`CertificateError`."""
+    try:
+        steps = [{"kind": _KIND_OF[type(step)][0], **vars(step)} for step in cert.steps]
+        obj = {"version": CERTIFICATE_VERSION, "steps": steps, "conclusion": cert.conclusion}
+        return (json.dumps(obj, sort_keys=True, separators=_COMPACT) + "\n").encode()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(_unwritable(cert)) from exc
+
+
+def _unwritable(cert: Certificate) -> str:
+    """Why ``serialize_certificate`` cannot write ``cert``, and where."""
+    steps = cert.steps
+    if type(steps) not in (list, tuple):
+        return f"steps {steps!r} is not a sequence"
+    for i, step in enumerate(steps):
+        if type(step) not in _KIND_OF:
+            return f"unknown step type {type(step).__name__} (at step {i})"
+        try:
+            json.dumps(vars(step))
+        except (TypeError, ValueError) as exc:
+            return f"{exc} (at step {i})"
+    return f"conclusion {cert.conclusion!r} cannot be written as JSON"
 
 
 def parse_certificate(data: bytes | str) -> Certificate:
@@ -180,9 +200,10 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
     """Replay a certificate step by step without any search.
 
     Malformed steps (a field of the wrong type or shape, an id that is not
-    an ``int``, or one out of range) raise :class:`CertificateError`;
-    logically unjustified steps make the replay return False.  A field
-    holds an ``int``, or a list or tuple of them (``kept``: of such lists).
+    an ``int``, or one out of range) raise :class:`CertificateError`, whose
+    message ends in "(at step i)" as the parser's does; logically
+    unjustified steps make the replay return False.  A field holds an
+    ``int``, or a list or tuple of them (``kept``: of such lists).
     """
     r = instance.r
     n = instance.num_vertices
@@ -203,55 +224,58 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
     steps = cert.steps
     if type(steps) not in (list, tuple):
         raise CertificateError(f"steps {steps!r} is not a sequence")
-    for idx, step in enumerate(steps):
-        entry = _KIND_OF.get(type(step))
-        if entry is None:
-            raise CertificateError(f"unknown step type {type(step).__name__}")
-        values = [check(getattr(step, name)) for name, check in entry[1]]
-        if isinstance(step, ForcedSetStep):
-            b, surv = values
-            if surv != survivors(b):
-                return False
-            last_forced[b] = surv
-        elif isinstance(step, JoinForcedStep):
-            blocks, kept, forced = values
-            if len(blocks) != r or len(set(blocks)) != len(blocks):
-                return False
-            surv = [set(survivors(b)) for b in blocks]
-            if len(kept) != r or not all(map(set.issuperset, surv, kept)):
-                return False
-            rest = chain.from_iterable(map(set.difference, surv, kept))
-            if sorted(rest) != sorted(forced) or not _complete(edge_set, kept):
-                return False
-            join_forced[idx] = forced
-        else:  # v is forbidden: joined to every tuple across the sets below
-            v, wits = values[0], values[-1]
-            if not 0 <= v < n:
-                raise CertificateError(f"unknown vertex id {v!r}")
-            if isinstance(step, ForbiddenStep):
-                if len(wits) != r - 1 or len(set(wits)) != len(wits) or forbidden[v]:
+    try:
+        for idx, step in enumerate(steps):
+            entry = _KIND_OF.get(type(step))
+            if entry is None:
+                raise CertificateError(f"unknown step type {type(step).__name__}")
+            values = [check(getattr(step, name)) for name, check in entry[1]]
+            if isinstance(step, ForcedSetStep):
+                b, surv = values
+                if surv != survivors(b):
                     return False
-                bv = instance.block_of(v)
-                for b in wits:
-                    check_block(b)
-                    if b == bv or b not in last_forced:
+                last_forced[b] = surv
+            elif isinstance(step, JoinForcedStep):
+                blocks, kept, forced = values
+                if len(blocks) != r or len(set(blocks)) != len(blocks):
+                    return False
+                surv = [set(survivors(b)) for b in blocks]
+                if len(kept) != r or not all(map(set.issuperset, surv, kept)):
+                    return False
+                rest = chain.from_iterable(map(set.difference, surv, kept))
+                if sorted(rest) != sorted(forced) or not _complete(edge_set, kept):
+                    return False
+                join_forced[idx] = forced
+            else:  # v is forbidden: joined to every tuple across the sets below
+                v, wits = values[0], values[-1]
+                if not 0 <= v < n:
+                    raise CertificateError(f"unknown vertex id {v!r}")
+                if isinstance(step, ForbiddenStep):
+                    if len(wits) != r - 1 or len(set(wits)) != len(wits) or forbidden[v]:
                         return False
-                sets = [(v,), *map(last_forced.get, wits)]
-            else:
-                ref = values[1]
-                if not 0 <= ref < idx:
-                    raise CertificateError(f"forced-step reference {ref!r} out of range")
-                if ref not in join_forced:
-                    raise CertificateError(
-                        f"step {ref} referenced as forced set is {type(steps[ref]).__name__}"
-                    )
-                if len(wits) != r - 2 or len(set(wits)) != len(wits) or forbidden[v]:
+                    bv = instance.block_of(v)
+                    for b in wits:
+                        check_block(b)
+                        if b == bv or b not in last_forced:
+                            return False
+                    sets = [(v,), *map(last_forced.get, wits)]
+                else:
+                    ref = values[1]
+                    if not 0 <= ref < idx:
+                        raise CertificateError(f"forced-step reference {ref!r} out of range")
+                    if ref not in join_forced:
+                        raise CertificateError(
+                            f"step {ref} referenced as forced set is {type(steps[ref]).__name__}"
+                        )
+                    if len(wits) != r - 2 or len(set(wits)) != len(wits) or forbidden[v]:
+                        return False
+                    alive = tuple(s for s in join_forced[ref] if not forbidden[s])
+                    # lazy, so that each witness block is range-checked only when reached
+                    sets = chain([(v,), alive], map(survivors, wits))
+                if not _complete(edge_set, sets):
                     return False
-                alive = tuple(s for s in join_forced[ref] if not forbidden[s])
-                # lazy, so that each witness block is range-checked only when reached
-                sets = chain([(v,), alive], map(survivors, wits))
-            if not _complete(edge_set, sets):
-                return False
-            forbidden[v] = True
+                forbidden[v] = True
+    except CertificateError as exc:
+        raise CertificateError(f"{exc} (at step {idx})") from exc
 
     return not survivors(_int(cert.conclusion))

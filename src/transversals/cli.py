@@ -302,6 +302,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
+    if args.r < 2:
+        raise ParameterError(f"--r must be at least 2, got {args.r}")
     did_something = False
     if args.mobius is not None:
         orbit = mobius_orbit(args.mobius, args.start, args.max_steps)

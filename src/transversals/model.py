@@ -64,7 +64,8 @@ class PartitionedInstance:
     * a block's ``grade``, if given, is at least 1,
     * blocks partition ``range(num_vertices)`` (dense ids, each exactly once),
     * every edge has exactly ``r`` distinct vertices, no duplicate edges,
-    * for r=2 no loops (distinctness) and no parallel edges (no duplicates).
+    * for r=2 no loops (distinctness) and no parallel edges (no duplicates),
+    * ``meta`` maps strings to strings.
 
     The uniformity, block ids, grades and vertex ids (block members and edge
     entries) must be of type ``int`` exactly: ``True`` or ``1.0`` is
@@ -103,6 +104,11 @@ class PartitionedInstance:
         roles: Sequence[str | None] | None = None,
         meta: Mapping[str, str] | None = None,
     ):
+        meta = {} if meta is None else meta
+        if not isinstance(meta, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
+        ):
+            raise InstanceError("meta must map strings to strings")
         if type(r) is not int:
             raise InstanceError(f"uniformity must be an int, got {r!r}")
         if r < 2:
@@ -154,7 +160,7 @@ class PartitionedInstance:
                     raise InstanceError(f"unknown role {role!r}")
             self.roles = tuple(roles)
 
-        self.meta: dict[str, str] = dict(meta or {})
+        self.meta: dict[str, str] = dict(meta)
         self._adjacency: list[list[int]] | None = None
         self._incident: list[list[int]] | None = None
         self._witness: tuple | None = None

@@ -73,14 +73,8 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
     for i, e in enumerate(edges):  # in place: each list is freed as its tuple replaces it
         edges[i] = tuple(e)
 
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-    ):
-        raise ParseError("meta must map strings to strings")
-
     try:
-        return PartitionedInstance(r, blocks, edges, roles=roles, meta=meta)
+        return PartitionedInstance(r, blocks, edges, roles=roles, meta=obj.get("meta", {}))
     except InstanceError as exc:
         raise ParseError(exc.message, location=exc.location) from exc
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from transversals import (
     GradeSequence,
     ParameterError,
     SequenceError,
+    SizePrediction,
     block_degree,
     bounded_degree_profile,
     build,
@@ -484,6 +486,55 @@ def test_one_gadget_numerology_matches_the_pair_and_hypergraph_references():
     assert {got.r for got, _ in outcomes if isinstance(got, DegreeBoundedProfile)} == {2, 3, 4}
 
 
+def reference_predict_size(t, r, values, gadget_parts=None):
+    """The size prediction as first written, with a grade-2 step of its own
+    for plain and for gadget builds."""
+    k = len(values)
+    if gadget_parts is None:
+        unit_blocks = r - 1  # grade-2 consumable: (r-1) plain grade-1 blocks
+        unit_edges = 0
+        grade2_heavy_degree = (t - values[0]) ** (r - 1)
+    else:
+        unit_blocks = r
+        unit_edges = math.prod(gadget_parts)
+        forced = r * t - sum(gadget_parts)
+        grade2_heavy_degree = forced * t ** (r - 2)
+    blocks = unit_blocks
+    edges = unit_edges
+    for j in range(1, k):
+        n = values[j]
+        if j == 1:
+            blocks = 1 + n * blocks
+            edges = n * (edges + grade2_heavy_degree)
+        else:
+            edges = n * ((r - 1) * edges + (t - values[j - 1]) ** (r - 1))
+            blocks = 1 + n * (r - 1) * blocks
+    return SizePrediction(blocks=blocks, vertices=blocks * t, edges=edges)
+
+
+def _prediction_grid():
+    """Plain and gadget predictions for t = 2..39, r = 2..4 and 2..5 grades:
+    seeded draws of increasing values ending at t, and of join parts."""
+    rng = random.Random(20261019)
+    for t in range(2, 40):
+        for r in (2, 3, 4):
+            for k in range(2, min(t + 1, 5) + 1):
+                for _ in range(12):
+                    values = (0, *sorted(rng.sample(range(1, t), k - 2)), t)
+                    yield t, r, values, None
+                    parts = (t,) * (r - 2) + (rng.randint(1, t), rng.randint(1, t))
+                    yield t, r, (rng.randint(0, t - 1), *values[1:]), parts
+    for profile in (bounded_degree_profile(1000, Fraction(1, 20)),
+                    local_degree_profile(1000, Fraction(1, 20))):
+        yield 1000, 2, profile.grade_values, profile.part_sizes
+
+
+def test_predict_size_matches_the_grade_two_reference():
+    cases = list(_prediction_grid())
+    assert len(cases) > 10_000
+    assert [c for c in cases if predict_size(*c) != reference_predict_size(*c)] == []
+
+
 class TestHypergraphBoundedDegree:
     def test_parts_r2_reduction(self):
         # with c_2 = 1/4: m_1 = ceil(11t/12), m_2 = floor(t^2/4 / m_1)
@@ -606,6 +657,30 @@ class TestRecipes:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             build(BuildRecipe(kind="mystery", t=3))
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            BuildRecipe(kind="forest", t=7, r=3, epsilon=Fraction(1, 3)),
+            BuildRecipe(kind="bounded_degree", t=14, epsilon=Fraction(3, 10),
+                        sequence_override=(0, 1, 14)),
+            BuildRecipe(kind="local_degree", t=14, epsilon=Fraction(3, 10), alpha=Fraction(1, 2)),
+            BuildRecipe(kind="stars", k_stars=2, t=9, epsilon=Fraction(1)),
+            BuildRecipe(kind="hypergraph_bounded_degree", t=21, r=3, alpha=Fraction(1, 2),
+                        sequence_override=(0, 3, 21)),
+        ],
+        ids=["forest-r", "bounded-seq", "local-alpha", "stars-t-epsilon", "hbounded-alpha"],
+    )
+    def test_fields_the_kind_does_not_read_are_refused(self, recipe):
+        with pytest.raises(ParameterError, match=f"kind '{recipe.kind}' does not read"):
+            build(recipe, max_cells=None)
+
+    def test_epsilon_beside_a_sequence_is_accepted(self):
+        # the sequence wins, as in the README's forest example
+        values = simple_sequence(6).values
+        for kind in ("forest", "hypergraph"):
+            both = build(BuildRecipe(kind=kind, t=6, epsilon=Fraction(1, 5), sequence_override=values))
+            assert both.meta["sequence"] == ",".join(map(str, values))
 
     def test_predict_matches_build(self):
         values = (0, 2, 4)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from transversals import check_certificate, read_certificate, read_instance
 from transversals.cli import main
 
@@ -186,6 +188,15 @@ class TestVerify:
         assert (code, stdout) == (2, "")
         assert "steps must be an array" in err
 
+    def test_replay_error_names_its_step(self, tmp_path, capsys):
+        cert = json.loads((GOLDEN / "forest_t3.cert.json").read_text())
+        cert["steps"].insert(1, {"kind": "forced", "block": 7, "survivors": []})
+        path = tmp_path / "foreign.cert.json"
+        path.write_text(json.dumps(cert))
+        code, stdout, err = run(capsys, "verify", str(GOLDEN / "forest_t3.json"), str(path))
+        assert (code, stdout) == (2, "")
+        assert err == "error: unknown block id 7 (at step 1)\n"
+
 
 class TestSolveCount:
     def test_solve_and_count_star(self, tmp_path, capsys):
@@ -272,6 +283,34 @@ class TestSequenceCommand:
         code, _, err = run(capsys, "sequence", "--t", "10", "--epsilon", "0.3")
         assert code == 2
         assert "minimal admissible" in err
+
+    def test_r_below_two_is_refused(self, capsys):
+        code, out, err = run(capsys, "sequence", "--t", "20", "--epsilon", "0.3", "--r", "1")
+        assert (code, out) == (2, "")
+        assert "--r must be at least 2" in err
+
+
+class TestFlagsThatDoNothing:
+    """A flag that the chosen kind does not read is an error line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "args, unread",
+        [
+            (["--kind", "forest", "--t", "7", "--epsilon", "1/3", "--r", "3"], "r=3"),
+            (["--kind", "bounded_degree", "--t", "14", "--epsilon", "3/10", "--seq", "0,1,14"],
+             "sequence_override=(0, 1, 14)"),
+            (["--kind", "local_degree", "--t", "14", "--epsilon", "3/10", "--alpha", "1/2"],
+             "alpha=1/2"),
+            (["--kind", "stars", "--k", "2", "--t", "9", "--epsilon", "1"], "t=9, epsilon=1"),
+            (["--kind", "hypergraph", "--t", "3", "--r", "3", "--seq", "0,1,3", "--k", "2"],
+             "k_stars=2"),
+        ],
+        ids=["forest-r", "bounded-seq", "local-alpha", "stars-t-epsilon", "hypergraph-k"],
+    )
+    def test_gen_refuses_unread_flags(self, args, unread, capsys):
+        code, out, err = run(capsys, "gen", *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: kind {args[1]!r} does not read {unread}\n"
 
 
 class TestExport:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -326,6 +327,15 @@ class TestDeclaredT:
         assert json.loads(capsys.readouterr().out)["thickness"] == size
 
 
+@pytest.mark.parametrize("meta", [{"t": 3}, {"t": ["3"]}, [], "t"])
+def test_meta_that_is_not_strings_is_refused(meta):
+    obj = json.loads(serialize_instance(build_forest(3, seq_of(3, [0, 3]))))
+    obj["meta"] = meta
+    with pytest.raises(ParseError) as err:
+        parse_instance(json.dumps(obj))
+    assert str(err.value) == "meta must map strings to strings"
+
+
 class TestCertificateSerialization:
     def test_round_trip_and_replay(self):
         inst = build_forest(2, seq_of(2, [0, 1, 2]))
@@ -428,23 +438,35 @@ class TestGoldenFiles:
         assert check_certificate(inst, cert)
 
 
+# Each ladder build and the first 16 hex digits of its bytes' sha256.
 LADDER = {
-    "forest-t7": lambda: build_forest(7, simple_sequence(7)),
-    "bounded-t14": lambda: build_bounded_degree(14, Fraction(3, 10)),
-    "local-t14": lambda: build_local_degree(14, Fraction(3, 10)),
-    "hypergraph-t6": lambda: build_hypergraph(6, 3, sequence_override=[0, 1, 2, 4, 6]),
-    "hbounded-t21": lambda: build_hypergraph_bounded_degree(21, 3, sequence_override=[0, 3, 21]),
+    "forest-t7": (lambda: build_forest(7, simple_sequence(7)), "3aff7e358819be02"),
+    "bounded-t14": (lambda: build_bounded_degree(14, Fraction(3, 10)), "b0c85d99ae5489cb"),
+    "bounded-t12": (lambda: build_bounded_degree(12, Fraction(2, 5)), "b0697f2ff4d4c398"),
+    "local-t14": (lambda: build_local_degree(14, Fraction(3, 10)), "a313c3305a7e5e87"),
+    "hypergraph-t6": (
+        lambda: build_hypergraph(6, 3, sequence_override=[0, 1, 2, 4, 6]),
+        "da087b6d962dcf0a",
+    ),
+    "hbounded-t21": (
+        lambda: build_hypergraph_bounded_degree(21, 3, sequence_override=[0, 3, 21]),
+        "08fdae7dde8fc7a6",
+    ),
 }
 
 
 class TestByteIdentity:
     """The emitters write the text directly; it must equal the text of the
-    file's JSON object dumped with sorted keys."""
+    file's JSON object dumped with sorted keys.  The ladder builds' bytes are
+    pinned by digest, so a change to a builder that moves them shows here."""
 
     @pytest.mark.parametrize("name", sorted(LADDER))
     def test_ladder_builds(self, name):
-        inst = LADDER[name]()
-        assert serialize_instance(inst) == reference_instance_bytes(inst)
+        build, digest = LADDER[name]
+        inst = build()
+        data = serialize_instance(inst)
+        assert data == reference_instance_bytes(inst)
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize(
         "inst",

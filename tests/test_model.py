@@ -50,6 +50,14 @@ def test_padding_must_be_a_bool(padding):
     assert err.value.location == "block 1"
 
 
+@pytest.mark.parametrize("meta", [{"t": 2}, {2: "t"}, {"t": None}, [("t", "2")], "t"])
+def test_meta_must_map_strings_to_strings(meta):
+    # the readers of meta["t"] take it as a string, so the model refuses others
+    with pytest.raises(InstanceError, match="meta must map strings to strings"):
+        PartitionedInstance(2, [Block(0, (0, 1))], [], meta=meta)
+    assert PartitionedInstance(2, [Block(0, (0, 1))], [], meta=None).meta == {}
+
+
 def test_violations_name_their_location():
     with pytest.raises(InstanceError) as err:
         make_instance(2, [[0, 1], [1, 2]], [])

@@ -562,7 +562,37 @@ class TestCheckCertificate:
             built = Certificate((dataclasses.replace(step, **{field: bad}),), 0)
             with pytest.raises(CertificateError) as replayed:
                 check_certificate(inst, built)
-            assert str(parsed.value) == f"{replayed.value} (at step 0)"
+            assert str(parsed.value) == str(replayed.value)
+            assert str(replayed.value).endswith(" (at step 0)")
+
+    def test_replay_errors_name_their_step(self):
+        inst, cert = self._forest_and_cert()
+        bad = ForcedSetStep(inst.num_blocks, ())
+        for i in (0, 1):
+            steps = (*cert.steps[:i], bad, *cert.steps[i:])
+            with pytest.raises(CertificateError) as err:
+                check_certificate(inst, Certificate(steps, cert.conclusion))
+            assert str(err.value) == f"unknown block id {inst.num_blocks} (at step {i})"
+
+    def test_unwritable_steps_raise_certificate_error(self):
+        class Subclassed(ForcedSetStep):
+            pass
+
+        inst, cert = self._forest_and_cert()
+        step = next(step for step in cert.steps if isinstance(step, ForcedSetStep))
+        for bad, message in [
+            (Subclassed(step.block, step.survivors), "unknown step type Subclassed (at step 1)"),
+            (dataclasses.replace(step, survivors=set(step.survivors)),
+             "Object of type set is not JSON serializable (at step 1)"),
+            (object(), "unknown step type object (at step 1)"),
+        ]:
+            with pytest.raises(CertificateError) as err:
+                serialize_certificate(Certificate((cert.steps[0], bad), cert.conclusion))
+            assert str(err.value) == message
+        with pytest.raises(CertificateError, match="conclusion"):
+            serialize_certificate(Certificate(cert.steps, {0}))
+        with pytest.raises(CertificateError, match="not a sequence"):
+            serialize_certificate(Certificate(None, 0))
 
     def test_checker_imports_nothing_from_the_engine_or_the_search(self):
         # a certificate is replayed by code that shares nothing with the code
@@ -584,6 +614,10 @@ class TestCheckCertificate:
         assert {"model", "errors", "serialization"} <= set(imported("certificate"))
         assert not {"solving", "builders", "sequences", "cli"} & set(imported("certificate"))
         assert "solving" not in set(imported("serialization"))
+        # the builders' unit recursion stays free of the engine, the checker,
+        # the file formats and the CLI
+        package = {path.stem for path in Path(transversals.__file__).parent.glob("*.py")}
+        assert set(imported("builders")) & package == {"errors", "model", "sequences"}
 
 
 @functools.lru_cache(maxsize=None)
