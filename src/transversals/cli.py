@@ -79,6 +79,28 @@ def _sequence_arg(text: str) -> tuple[int, ...] | str:
         ) from exc
 
 
+# ``sequence``'s flags with their defaults, and the flags each of its modes
+# reads.  The mode is --mobius if given, else --haxell, else --simple or
+# grade generation from --t; every flag its mode does not read must keep
+# its default.
+_SEQUENCE_DEFAULTS = {
+    "t": None,
+    "epsilon": None,
+    "r": 2,
+    "simple": False,
+    "mobius": None,
+    "start": Fraction(0),
+    "max_steps": 10**4,
+    "haxell": None,
+}
+_SEQUENCE_READS = {
+    "mobius": {"mobius", "start", "max_steps"},
+    "haxell": {"haxell", "t"},
+    "simple": {"simple", "t"},
+    "grades": {"t", "epsilon", "r"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transversals",
@@ -153,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sequence.add_argument("--t", type=int)
     sequence.add_argument("--epsilon", type=_fraction)
-    sequence.add_argument("--r", type=int, default=2)
+    sequence.add_argument("--r", type=int)
     sequence.add_argument("--simple", action="store_true")
     sequence.add_argument("--mobius", type=_fraction, metavar="ALPHA")
-    sequence.add_argument("--start", type=_fraction, default=Fraction(0))
-    sequence.add_argument("--max-steps", type=int, default=10**4)
+    sequence.add_argument("--start", type=_fraction)
+    sequence.add_argument("--max-steps", type=int)
     sequence.add_argument("--haxell", type=int, metavar="N")
-    sequence.set_defaults(func=_cmd_sequence)
+    sequence.set_defaults(func=_cmd_sequence, **_SEQUENCE_DEFAULTS)
 
     return parser
 
@@ -302,10 +324,22 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
-    if args.r < 2:
-        raise ParameterError(f"--r must be at least 2, got {args.r}")
-    did_something = False
     if args.mobius is not None:
+        mode = "mobius"
+    elif args.haxell is not None:
+        mode = "haxell"
+    elif args.t is None:
+        raise ParameterError("nothing to do: pass --t, --mobius or --haxell")
+    else:
+        mode = "simple" if args.simple else "grades"
+    unread = [
+        f"--{name.replace('_', '-')}" + ("" if value is True else f" {value}")
+        for name, default in _SEQUENCE_DEFAULTS.items()
+        if name not in _SEQUENCE_READS[mode] and (value := getattr(args, name)) != default
+    ]
+    if unread:
+        raise ParameterError(f"sequence mode {mode!r} does not read {', '.join(unread)}")
+    if mode == "mobius":
         orbit = mobius_orbit(args.mobius, args.start, args.max_steps)
         head = ", ".join(f"{float(z):.6f}" for z in orbit.points[:8])
         print(f"orbit alpha={args.mobius} start={args.start}: {head}, ...")
@@ -316,26 +350,24 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
             print(f"outcome: converged to {oc.limit} (~{float(oc.limit):.9f})")
         else:
             print("outcome: undecided")
-        did_something = True
-    if args.haxell is not None:
+        return EXIT_OK
+    if mode == "haxell":
         if args.t is None:
             raise ParameterError("--haxell needs --t")
         print(haxell_threshold(args.haxell, args.t))
-        did_something = True
-    if args.t is not None and not did_something:
-        if args.simple:
-            seq = simple_sequence(args.t)
-        elif args.epsilon is None:
-            raise ParameterError("sequence generation needs --epsilon (or --simple)")
-        elif args.r > 2:
-            seq = hypergraph_grade_sequence(args.t, args.r, args.epsilon)
-        else:
-            seq = forest_grade_sequence(args.t, args.epsilon)
-        print(",".join(str(v) for v in seq.values))
-        print(f"epsilon={seq.epsilon}", file=sys.stderr)
-        did_something = True
-    if not did_something:
-        raise ParameterError("nothing to do: pass --t, --mobius or --haxell")
+        return EXIT_OK
+    if mode == "simple":
+        seq = simple_sequence(args.t)
+    elif args.r < 2:
+        raise ParameterError(f"--r must be at least 2, got {args.r}")
+    elif args.epsilon is None:
+        raise ParameterError("sequence generation needs --epsilon (or --simple)")
+    elif args.r > 2:
+        seq = hypergraph_grade_sequence(args.t, args.r, args.epsilon)
+    else:
+        seq = forest_grade_sequence(args.t, args.epsilon)
+    print(",".join(str(v) for v in seq.values))
+    print(f"epsilon={seq.epsilon}", file=sys.stderr)
     return EXIT_OK
 
 

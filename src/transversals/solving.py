@@ -123,6 +123,17 @@ class _Propagation:
     one state this way instead of rebuilding it at every node (trailing, as
     in Schulte, *Comparing Trailing and Copying for Constraint Programming*,
     ICLP 1999).
+
+    Certification (``record=True``) and every r >= 3 engine queue every
+    vertex, re-queue the touchers of each block that loses a survivor, and
+    check each vertex they pop, in FIFO order: the certificate's steps are
+    that order.  The r = 2 search queues only vertices proved forbidden: the
+    root's witnesses, then each toucher that a marking leaves joined to all
+    survivors of the marked vertex's block (see :meth:`_mark`).  It marks
+    each one it pops without a re-check, as on an event that proves a
+    constraint fires (propagate-on-change, Mackworth's AC-3, 1977).  The
+    basic rule's fixpoint is unique, so the outcomes, the assignments and
+    the node counts are those of the re-checking order.
     """
 
     def __init__(self, inst: PartitionedInstance, record: bool):
@@ -136,8 +147,6 @@ class _Propagation:
         self.steps: list[Step] = []
         self.emitted: dict[int, tuple[int, ...]] = {}
         self.emptied: int | None = None
-        self.queue: deque[int] = deque(range(n))
-        self.queued = bytearray(b"\x01") * n
         self.trail: list[int] = []
         self._tuples: list[tuple[int, ...]] | None = None
 
@@ -162,6 +171,12 @@ class _Propagation:
             self.live = list(live)
         # for each block, the vertices whose witness rule reads it, in id order
         self.touchers = touchers
+        # the r = 2 search queues only vertices proved forbidden (see _mark)
+        if r == 2 and not record:
+            self.queued = bytearray(self._find_witness(v) is not None for v in range(n))
+        else:
+            self.queued = bytearray(b"\x01") * n
+        self.queue: deque[int] = deque(itertools.compress(range(n), self.queued))
 
     # .. helpers ..
 
@@ -170,11 +185,6 @@ class _Propagation:
             v for v in self.inst.blocks[b].members if not self.forbidden[v]
         )
 
-    def _enqueue(self, v: int) -> None:
-        if not self.forbidden[v] and not self.queued[v]:
-            self.queued[v] = 1
-            self.queue.append(v)
-
     def _emit_forced(self, b: int) -> None:
         surv = self._survivors(b)
         if self.emitted.get(b) != surv:
@@ -182,47 +192,59 @@ class _Propagation:
             self.steps.append(ForcedSetStep(block=b, survivors=surv))
 
     def _mark(self, v: int, step: Step | None) -> None:
-        """Mark v forbidden, update counters, enqueue affected rechecks."""
-        if self.forbidden[v]:
+        """Mark v forbidden, update the counters and queue the vertices whose
+        rule may now fire."""
+        forbidden = self.forbidden
+        if forbidden[v]:
             return
         if step is not None and self.record:
             if isinstance(step, ForbiddenStep):
                 for b in step.witnesses:
                     self._emit_forced(b)
             self.steps.append(step)
-        self.forbidden[v] = 1
+        forbidden[v] = 1
         self.trail.append(v)
-        bv = self.block_of[v]
+        block_of = self.block_of
+        bv = block_of[v]
         left = self.surv_count[bv] - 1
         self.surv_count[bv] = left
         if left == 0 and self.emptied is None:
             self.emptied = bv
 
-        self._recount(v, -1)
-        touchers = self.touchers[bv]
-        if self.r == 2 and not self.record:
-            # Only bv lost a survivor and the rule is monotone, so only a
-            # toucher now joined to all of bv's survivors can newly fire.
-            # Certification rechecks every toucher: its step order is the
-            # certificate's.
-            count = self.count
-            touchers = [u for u in touchers if count[u][bv] == left]
-        for u in touchers:
-            self._enqueue(u)
-
-    def _recount(self, v: int, delta: int) -> None:
-        """Add ``delta`` to the witness counts that v's edges give the other
-        vertices: -1 when v is forbidden, +1 when it is restored.  For
-        r >= 3 a dying or reviving edge moves every slot it feeds, v's own
-        too, which no rule reads while v is forbidden."""
-        block_of = self.block_of
-        bv = block_of[v]
+        queue, queued = self.queue, self.queued
         if self.r == 2:
             count = self.count
             for u in self.adj[v]:
                 if block_of[u] != bv:
-                    count[u][bv] += delta
-            return
+                    count[u][bv] -= 1
+            if not self.record:
+                # The search's rule: queued means provably forbidden.  Only
+                # bv lost a survivor, so u can newly fire only through bv,
+                # and it does iff it is joined to all of bv's survivors.
+                # Forbidding any of them lowers both sides by one, so u stays
+                # forbiddable until it is marked or bv empties, and an
+                # emptied block ends the fixpoint.  run_basic therefore marks
+                # u without a re-check.  The basic rule's fixpoint is unique,
+                # so the order does not move it, nor the search's nodes.
+                # Certification re-checks every toucher in FIFO order,
+                # because its step order is the certificate.
+                for u in self.touchers[bv]:
+                    if count[u][bv] == left and not forbidden[u] and not queued[u]:
+                        queued[u] = 1
+                        queue.append(u)
+                return
+        else:
+            self._recount(v, -1)
+        for u in self.touchers[bv]:
+            if not forbidden[u] and not queued[u]:
+                queued[u] = 1
+                queue.append(u)
+
+    def _recount(self, v: int, delta: int) -> None:
+        """Add ``delta`` to the r >= 3 witness counts that v's edges give the
+        other vertices: -1 when v is forbidden, +1 when it is restored.  A
+        dying or reviving edge moves every slot it feeds, v's own too, which
+        no rule reads while v is forbidden."""
         r = self.r
         edge_dead = self.edge_dead
         edge_slots = self.edge_slots
@@ -246,13 +268,21 @@ class _Propagation:
         rewound; the search does not record.
         """
         trail = self.trail
+        forbidden = self.forbidden
         block_of = self.block_of
         surv_count = self.surv_count
-        while len(trail) > mark:
-            v = trail.pop()
-            self.forbidden[v] = 0
-            surv_count[block_of[v]] += 1
-            self._recount(v, 1)
+        count, adj = (self.count, self.adj) if self.r == 2 else (None, None)
+        for v in trail[mark:]:
+            forbidden[v] = 0
+            bv = block_of[v]
+            surv_count[bv] += 1
+            if adj is None:
+                self._recount(v, 1)
+                continue
+            for u in adj[v]:
+                if block_of[u] != bv:
+                    count[u][bv] += 1
+        del trail[mark:]
         for v in self.queue:
             self.queued[v] = 0
         self.queue.clear()
@@ -275,16 +305,25 @@ class _Propagation:
         return None
 
     def run_basic(self) -> int | None:
-        """Fixpoint of the witness-block rule; returns the emptied block."""
+        """Fixpoint of the witness-block rule; returns the emptied block.
+
+        The r = 2 search marks each vertex it pops, since its queue holds
+        only vertices proved forbidden; every other engine checks it first.
+        """
         queue, queued, forbidden = self.queue, self.queued, self.forbidden
+        recheck = self.record or self.r > 2
+        mark = self._mark
         while queue and self.emptied is None:
             v = queue.popleft()
             queued[v] = 0
             if forbidden[v]:
                 continue
+            if not recheck:
+                mark(v, None)
+                continue
             wit = self._find_witness(v)
             if wit is not None:
-                self._mark(v, ForbiddenStep(vertex=v, witnesses=wit) if self.record else None)
+                mark(v, ForbiddenStep(vertex=v, witnesses=wit) if self.record else None)
         return self.emptied
 
     # .. complete-join phase ..

@@ -291,7 +291,8 @@ class TestSequenceCommand:
 
 
 class TestFlagsThatDoNothing:
-    """A flag that the chosen kind does not read is an error line, exit 2."""
+    """A flag that the chosen kind or mode does not read is an error line,
+    exit 2."""
 
     @pytest.mark.parametrize(
         "args, unread",
@@ -311,6 +312,24 @@ class TestFlagsThatDoNothing:
         code, out, err = run(capsys, "gen", *args)
         assert (code, out) == (2, "")
         assert err == f"error: kind {args[1]!r} does not read {unread}\n"
+
+    @pytest.mark.parametrize(
+        "args, mode, unread",
+        [
+            (["--mobius", "1/4", "--r", "5"], "mobius", "--r 5"),
+            (["--mobius", "1/4", "--t", "9"], "mobius", "--t 9"),
+            (["--t", "6", "--simple", "--epsilon", "0.3"], "simple", "--epsilon 3/10"),
+            (["--t", "6", "--simple", "--start", "1/2"], "simple", "--start 1/2"),
+            (["--t", "4", "--haxell", "5", "--epsilon", "0.3"], "haxell", "--epsilon 3/10"),
+            (["--t", "4", "--haxell", "5", "--simple"], "haxell", "--simple"),
+        ],
+        ids=["mobius-r", "mobius-t", "simple-epsilon", "simple-start", "haxell-epsilon",
+             "haxell-simple"],
+    )
+    def test_sequence_refuses_unread_flags(self, args, mode, unread, capsys):
+        code, out, err = run(capsys, "sequence", *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: sequence mode {mode!r} does not read {unread}\n"
 
 
 class TestExport:

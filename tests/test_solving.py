@@ -233,11 +233,29 @@ class TestPinnedCertificates:
         assert {"JoinForcedStep", "ForbiddenViaForcedStep"} <= fired
 
 
+def witness_state(prop):
+    """A copy of the engine's witness counters: ``count`` for r = 2, ``live``
+    and ``edge_dead`` for r >= 3."""
+    if prop.r == 2:
+        return [dict(c) for c in prop.count]
+    return list(prop.live), list(prop.edge_dead)
+
+
 def witness_recount(prop, inst):
-    """The r >= 3 engine's witness counters recomputed from the edges: each
-    slot counts the live edges through its vertex over its witness blocks,
-    and an edge counts its forbidden vertices."""
+    """The witness counters recomputed from the edges.  For r = 2,
+    ``count[u][b]`` is the number of u's surviving neighbours in block b, for
+    every other block b where u has a neighbour.  For r >= 3 each slot counts
+    the live edges through its vertex over its witness blocks, and an edge
+    counts its forbidden vertices."""
     r = inst.r
+    if r == 2:
+        count = [{} for _ in range(inst.num_vertices)]
+        for e in inst.edges:
+            for u, w in (e, e[::-1]):
+                b = inst.block_of(w)
+                if b != inst.block_of(u):
+                    count[u][b] = count[u].get(b, 0) + (not prop.forbidden[w])
+        return count
     live = [0] * len(prop.live)
     dead = []
     for e in inst.edges:
@@ -251,7 +269,7 @@ def witness_recount(prop, inst):
 
 
 class TestPropagationState:
-    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("r", [2, 3, 4])
     def test_marks_and_undo_keep_the_witness_counters_exact(self, r):
         rng = random.Random(20261026 + r)
         for _ in range(4):
@@ -263,19 +281,19 @@ class TestPropagationState:
             for v in order[:half]:
                 prop._mark(v, None)
             mark = len(prop.trail)
-            after_half = (list(prop.live), list(prop.edge_dead))
+            after_half = witness_state(prop)
             assert after_half == witness_recount(prop, inst)
             for v in order[half:]:
                 prop._mark(v, None)
-            assert (prop.live, prop.edge_dead) == witness_recount(prop, inst)
+            assert witness_state(prop) == witness_recount(prop, inst)
             prop.undo(mark)
-            assert (prop.live, prop.edge_dead) == after_half
+            assert witness_state(prop) == after_half
             prop.undo(0)
-            assert (prop.live, prop.edge_dead) == (fresh.live, fresh.edge_dead)
-            assert (prop.live, prop.edge_dead) == witness_recount(prop, inst)
+            assert witness_state(prop) == witness_state(fresh)
+            assert witness_state(prop) == witness_recount(prop, inst)
             assert (prop.forbidden, prop.surv_count) == (fresh.forbidden, fresh.surv_count)
 
-    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("r", [2, 3, 4])
     def test_engines_on_one_instance_share_only_the_static_tables(self, r):
         rng = random.Random(20261027 + r)
         for _ in range(4):
@@ -283,16 +301,52 @@ class TestPropagationState:
             first = _Propagation(inst, record=False)
             for v in rng.sample(range(inst.num_vertices), inst.num_vertices // 3):
                 first._mark(v, None)
-            marked = (list(first.live), list(first.edge_dead))
+            marked = witness_state(first)
             second = _Propagation(inst, record=False)
-            assert second.slot_of is first.slot_of and second.edge_slots is first.edge_slots
-            assert (second.live, second.edge_dead) == witness_recount(second, inst)
+            if r == 2:
+                assert second.adj is first.adj and second.count is not first.count
+            else:
+                assert second.slot_of is first.slot_of and second.edge_slots is first.edge_slots
+            assert witness_state(second) == witness_recount(second, inst)
             for v in rng.sample(range(inst.num_vertices), inst.num_vertices // 3):
                 second._mark(v, None)
-            assert (first.live, first.edge_dead) == marked
+            assert witness_state(first) == marked
             second.undo(0)
-            assert (first.live, first.edge_dead) == marked == witness_recount(first, inst)
-            assert (second.live, second.edge_dead) == witness_recount(second, inst)
+            assert witness_state(first) == marked == witness_recount(first, inst)
+            assert witness_state(second) == witness_recount(second, inst)
+
+
+def assert_search_fixpoints_match_a_full_recheck(inst, rng, branches=8):
+    """Walk down a random branch of the r = 2 search, which marks the
+    vertices it queues without re-checking them.  At the root and after each
+    branch (the picked block's other members forbidden), its fixpoint must
+    equal the one a certifying engine reaches from the same marks when it
+    re-checks every vertex, or both must empty a block; an emptied branch is
+    undone, as the search does."""
+    search = _Propagation(inst, record=False)
+    full = _Propagation(inst, record=True)
+    assert (search.run_basic() is None) == (full.run_basic() is None)
+    if search.emptied is not None:
+        return
+    assert search.forbidden == full.forbidden
+    for _ in range(branches):
+        open_blocks = [b for b, c in enumerate(search.surv_count) if c > 1]
+        if not open_blocks:
+            return
+        pick = rng.choice(open_blocks)
+        keep = rng.choice(search._survivors(pick))
+        others = [u for u in search._survivors(pick) if u != keep]
+        mark = len(search.trail)
+        recheck = _Propagation(inst, record=True)
+        for u in search.trail + others:
+            recheck._mark(u, None)
+        for u in others:
+            search._mark(u, None)
+        assert (search.run_basic() is None) == (recheck.run_basic() is None)
+        if search.emptied is None:
+            assert search.forbidden == recheck.forbidden
+        else:
+            search.undo(mark)
 
 
 @st.composite
@@ -342,6 +396,17 @@ def forced_set_hits_from_the_edges(prop, forced):
 
 
 class TestEnginesAgree:
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(small_hypergraphs().filter(lambda inst: inst.r == 2), st.randoms(use_true_random=False))
+    def test_search_marks_what_a_full_recheck_forbids(self, inst, rng):
+        assert_search_fixpoints_match_a_full_recheck(inst, rng)
+
+    def test_search_marks_what_a_full_recheck_forbids_on_capped_degree_instances(self):
+        rng = random.Random(20261028)
+        for _ in range(40):
+            inst = random_capped_degree_instance(3, rng.randrange(6, 30), rng, cap=rng.choice([3, 4, 5]))
+            assert_search_fixpoints_match_a_full_recheck(inst, rng, branches=30)
+
     @settings(max_examples=250, derandomize=True, database=None, deadline=None)
     @given(small_hypergraphs())
     def test_forced_set_hits_agree_with_a_recount_from_the_edges(self, inst):
