@@ -12,6 +12,8 @@ Two independent engines:
   date as vertices are forbidden, so the join phase never rescans the edges
   (residual support counting, Lecoutre and Hemery, IJCAI 2007).  An emptied
   block ends the ordered log, a :class:`Certificate` for ``certificate`` to replay.
+  The r = 2 search counts from the other side: per vertex and other block,
+  the block's survivors that the vertex is not adjacent to.
 
 * :func:`find_transversal` is exact backtracking (fewest-survivors block
   first) pruned by the same propagation; :func:`count_transversals` is a
@@ -55,10 +57,11 @@ class TransversalReport:
 
 @dataclass(frozen=True)
 class WWReport:
-    status: str  # hypothesis_not_met | bound_holds | bound_violated
+    status: str  # hypothesis_not_met | bound_holds | bound_violated | aborted
     count: int | None = None
     bound: Fraction | None = None
     failing_block: int | None = None
+    nodes_explored: int | None = None
 
 
 # -- propagation engine ---------------------------------------------------------
@@ -127,13 +130,25 @@ class _Propagation:
     Certification (``record=True``) and every r >= 3 engine queue every
     vertex, re-queue the touchers of each block that loses a survivor, and
     check each vertex they pop, in FIFO order: the certificate's steps are
-    that order.  The r = 2 search queues only vertices proved forbidden: the
-    root's witnesses, then each toucher that a marking leaves joined to all
-    survivors of the marked vertex's block (see :meth:`_mark`).  It marks
-    each one it pops without a re-check, as on an event that proves a
-    constraint fires (propagate-on-change, Mackworth's AC-3, 1977).  The
-    basic rule's fixpoint is unique, so the outcomes, the assignments and
-    the node counts are those of the re-checking order.
+    that order.  The certifier's r = 2 counts are dicts, ``count[u][b]``
+    being u's surviving neighbours in block b.
+
+    The r = 2 search (``record=False``) keeps one table instead, built per
+    engine and not cached on the instance.  It has one slot per vertex u
+    and block b other than u's where u has a neighbour; the slots into b
+    run from ``first_slot[b]`` to ``first_slot[b + 1]``, and ``owner[s]``
+    is the slot's vertex.  ``miss[s]`` counts b's survivors that u is not
+    adjacent to, so u is forbidden exactly when one of its slots reads 0
+    (the support counter of AC-4, Mohr and Henderson, 1986, counted from
+    the other side).  ``hit[w]`` lists the slots that w is a non-neighbour
+    in, built at w's first marking; a marking moves only those (see
+    :meth:`_mark`).  The search queues only vertices proved forbidden: the
+    owners of slots that read 0 at the root, then of each slot a marking
+    brings to 0.  It marks each one it pops without a re-check, as on an
+    event that proves a constraint fires (propagate-on-change, Mackworth's
+    AC-3, 1977); a vertex queued twice is skipped as forbidden.  The basic
+    rule's fixpoint is unique, so the outcomes, the assignments and the
+    node counts are those of the re-checking order.
     """
 
     def __init__(self, inst: PartitionedInstance, record: bool):
@@ -150,8 +165,30 @@ class _Propagation:
         self.trail: list[int] = []
         self._tuples: list[tuple[int, ...]] | None = None
 
-        if r == 2:
-            touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
+        # Every engine but the r = 2 search queues every vertex at the root,
+        # and ``queued`` keeps a vertex from being queued twice.
+        self.queued = bytearray(b"\x01") * n
+        self.queue: deque[int] = deque(range(n))
+        if r == 2 and not record:
+            self.adj = adj = inst.adjacency()
+            self.miss: list[int] = []
+            self.owner: list[int] = []
+            self.first_slot = [0]
+            met: Counter[int] = Counter()
+            for blk in inst.blocks:
+                met.clear()
+                met.update(itertools.chain.from_iterable(map(adj.__getitem__, blk.members)))
+                for w in blk.members:
+                    met.pop(w, None)
+                self.owner += met
+                self.miss += [blk.size - c for c in met.values()]
+                self.first_slot.append(len(self.owner))
+            self.hit: list[list[int] | None] = [None] * n
+            # the root queue: the owners of slots with miss 0
+            self.queue = deque(u for u, m in zip(self.owner, self.miss) if m == 0)
+        elif r == 2:
+            # for each block, the vertices whose witness rule reads it, in id order
+            self.touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
             self.adj = adj = inst.adjacency()
             self.count: list[dict[int, int]] = [{} for _ in range(n)]
             for v in range(n):
@@ -162,21 +199,13 @@ class _Propagation:
                     if bu != bv:
                         cv[bu] = cv.get(bu, 0) + 1
                 for b in cv:
-                    touchers[b].append(v)
+                    self.touchers[b].append(v)
         else:
             self.incident = inst.incident_edges()
             self.edge_dead = [0] * len(inst.edges)
-            (self.slot_of, self.edge_slots, self.owner, live, touchers,
+            (self.slot_of, self.edge_slots, self.owner, live, self.touchers,
              self._tuples) = _witness_index(inst)
             self.live = list(live)
-        # for each block, the vertices whose witness rule reads it, in id order
-        self.touchers = touchers
-        # the r = 2 search queues only vertices proved forbidden (see _mark)
-        if r == 2 and not record:
-            self.queued = bytearray(self._find_witness(v) is not None for v in range(n))
-        else:
-            self.queued = bytearray(b"\x01") * n
-        self.queue: deque[int] = deque(itertools.compress(range(n), self.queued))
 
     # .. helpers ..
 
@@ -193,7 +222,9 @@ class _Propagation:
 
     def _mark(self, v: int, step: Step | None) -> None:
         """Mark v forbidden, update the counters and queue the vertices whose
-        rule may now fire."""
+        rule may now fire: for the r = 2 search, the owners of the slots in
+        ``hit[v]`` that reach miss 0; for every other engine, the touchers
+        of v's block."""
         forbidden = self.forbidden
         if forbidden[v]:
             return
@@ -212,27 +243,35 @@ class _Propagation:
             self.emptied = bv
 
         queue, queued = self.queue, self.queued
+        if self.r == 2 and not self.record:
+            # The search's rule: queued means provably forbidden.  Only bv
+            # lost a survivor.  A neighbour u of v keeps the miss of its
+            # slot into bv, since bv's survivors and u's neighbours among
+            # them both fall by one, so only the slots in hit[v] move.  A
+            # slot at miss 0 has its owner joined to all of bv's survivors.
+            # Forbidding another survivor keeps it at 0, so the owner stays
+            # forbiddable until it is marked or bv empties, and an emptied
+            # block ends the fixpoint.  run_basic therefore marks it without
+            # a re-check.  The basic rule's fixpoint is unique, so the order
+            # does not move it, nor the search's nodes.  Certification
+            # re-checks every toucher in FIFO order, because its step order
+            # is the certificate.
+            miss, owner = self.miss, self.owner
+            hit = self.hit[v]
+            if hit is None:  # built at v's first marking
+                near = set(self.adj[v])
+                slots = range(self.first_slot[bv], self.first_slot[bv + 1])
+                hit = self.hit[v] = [s for s in slots if owner[s] not in near]
+            for s in hit:
+                miss[s] -= 1
+                if not miss[s] and not forbidden[owner[s]]:
+                    queue.append(owner[s])
+            return
         if self.r == 2:
             count = self.count
             for u in self.adj[v]:
                 if block_of[u] != bv:
                     count[u][bv] -= 1
-            if not self.record:
-                # The search's rule: queued means provably forbidden.  Only
-                # bv lost a survivor, so u can newly fire only through bv,
-                # and it does iff it is joined to all of bv's survivors.
-                # Forbidding any of them lowers both sides by one, so u stays
-                # forbiddable until it is marked or bv empties, and an
-                # emptied block ends the fixpoint.  run_basic therefore marks
-                # u without a re-check.  The basic rule's fixpoint is unique,
-                # so the order does not move it, nor the search's nodes.
-                # Certification re-checks every toucher in FIFO order,
-                # because its step order is the certificate.
-                for u in self.touchers[bv]:
-                    if count[u][bv] == left and not forbidden[u] and not queued[u]:
-                        queued[u] = 1
-                        queue.append(u)
-                return
         else:
             self._recount(v, -1)
         for u in self.touchers[bv]:
@@ -264,24 +303,23 @@ class _Propagation:
         empty the queue.
 
         The state at ``mark`` must have been a fixpoint with no emptied
-        block, which is where the search branches.  Recorded steps are not
-        rewound; the search does not record.
+        block, which is where the search branches.  Only the search undoes:
+        recorded steps and a certifier's r = 2 ``count`` dicts are not
+        rewound.
         """
         trail = self.trail
         forbidden = self.forbidden
         block_of = self.block_of
         surv_count = self.surv_count
-        count, adj = (self.count, self.adj) if self.r == 2 else (None, None)
+        miss, hit = (self.miss, self.hit) if self.r == 2 else (None, None)
         for v in trail[mark:]:
             forbidden[v] = 0
-            bv = block_of[v]
-            surv_count[bv] += 1
-            if adj is None:
+            surv_count[block_of[v]] += 1
+            if hit is None:
                 self._recount(v, 1)
                 continue
-            for u in adj[v]:
-                if block_of[u] != bv:
-                    count[u][bv] += 1
+            for s in hit[v]:
+                miss[s] += 1
         del trail[mark:]
         for v in self.queue:
             self.queued[v] = 0
@@ -308,7 +346,8 @@ class _Propagation:
         """Fixpoint of the witness-block rule; returns the emptied block.
 
         The r = 2 search marks each vertex it pops, since its queue holds
-        only vertices proved forbidden; every other engine checks it first.
+        only vertices proved forbidden (``_mark`` skips one queued twice);
+        every other engine checks it first.
         """
         queue, queued, forbidden = self.queue, self.queued, self.forbidden
         recheck = self.record or self.r > 2
@@ -316,13 +355,9 @@ class _Propagation:
         while queue and self.emptied is None:
             v = queue.popleft()
             queued[v] = 0
-            if forbidden[v]:
-                continue
             if not recheck:
                 mark(v, None)
-                continue
-            wit = self._find_witness(v)
-            if wit is not None:
+            elif not forbidden[v] and (wit := self._find_witness(v)) is not None:
                 mark(v, ForbiddenStep(vertex=v, witnesses=wit) if self.record else None)
         return self.emptied
 
@@ -523,9 +558,9 @@ def find_transversal(
     surv_count = prop.surv_count
     members = [b.members for b in instance.blocks]
 
-    def branches(pick: int, candidates: tuple[int, ...]) -> Iterator[bool]:
+    def branches(pick: int) -> Iterator[bool]:
         mark = len(prop.trail)
-        for v in candidates:
+        for v in prop._survivors(pick):
             prop.undo(mark)
             for u in members[pick]:
                 if u != v:
@@ -545,14 +580,14 @@ def find_transversal(
         if prop.run_basic() is None:
             # The open block with the fewest survivors, lowest id first; a
             # block with none (an empty padding block) ends the branch.
-            pick = min(((c, b) for b, c in enumerate(surv_count) if c != 1), default=None)
-            if pick is None:
+            open_counts = set(surv_count) - {1}
+            if not open_counts:
                 leaf = {b: prop._survivors(b)[0] for b in range(instance.num_blocks)}
                 if _assignment_independent(instance, leaf):
                     assignment = leaf
                     break
-            elif pick[0] > 0:
-                stack.append(branches(pick[1], prop._survivors(pick[1])))
+            elif (fewest := min(open_counts)) > 0:
+                stack.append(branches(surv_count.index(fewest)))
         while stack and not next(stack[-1], False):
             stack.pop()
         if not stack:
@@ -708,15 +743,19 @@ def count_transversals(
 # -- exponential count guarantee ---------------------------------------------------
 
 
-def check_ww_bound(instance: PartitionedInstance) -> WWReport:
+def check_ww_bound(instance: PartitionedInstance, max_nodes: int | None = None) -> WWReport:
     """Compare the exact transversal count against the guarantee
     ((r-1) t / r)^n, where t is the thickness and n the number of blocks.
 
     The hypothesis asks every block to meet at most c_r t^(r-1) |B| stretched
     edges (t|B|/4 for graphs).  A ``bound_violated`` outcome is a genuine
-    counterexample to the guarantee and should never occur.  The count runs
-    without a cap or a node budget, so this is for small instances only.
+    counterexample to the guarantee and should never occur.  The count is
+    exponential: ``max_nodes`` (at least 0) bounds its search as in
+    :func:`count_transversals`, and a count that would explore more nodes
+    gives the status ``aborted`` with the nodes it explored.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise ParameterError(f"max_nodes must be at least 0, got {max_nodes}")
     t = thickness(instance)
     r = instance.r
     c_r = threshold_constant(r)
@@ -724,9 +763,10 @@ def check_ww_bound(instance: PartitionedInstance) -> WWReport:
     for blk in instance.blocks:
         if Fraction(degrees[blk.id]) > c_r * t ** (r - 1) * blk.size:
             return WWReport(status="hypothesis_not_met", failing_block=blk.id)
-    report = count_transversals(instance)
+    report = count_transversals(instance, max_nodes=max_nodes)
+    if report.count is None:
+        return WWReport(status="aborted", nodes_explored=report.nodes_explored)
     bound = Fraction((r - 1) * t, r) ** instance.num_blocks
-    assert report.count is not None
     if report.count >= bound:
         return WWReport(status="bound_holds", count=report.count, bound=bound)
     return WWReport(status="bound_violated", count=report.count, bound=bound)

@@ -30,6 +30,7 @@ from transversals import (
     ParameterError,
     ParseError,
     PartitionedInstance,
+    WWReport,
     build_bounded_degree,
     build_forest,
     build_hypergraph,
@@ -70,6 +71,29 @@ def is_independent_transversal(inst, assignment):
         return False
     chosen = set(assignment.values())
     return not any(all(u in chosen for u in e) for e in inst.edges)
+
+
+def unequal_blocks_instance(rng):
+    """40 to 59 blocks of 2 to 6 vertices, random edges between different
+    blocks with every degree at most 5 or 6, and one padding block of two
+    isolated vertices."""
+    n = rng.randrange(40, 60)
+    cap = rng.choice([5, 6])
+    sizes = [rng.choice([2, 3, 3, 4, 4, 5, 6]) for _ in range(n)]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    deg = [0] * starts[-1]
+    edges = set()
+    for _ in range(20 * starts[-1]):
+        u, v = rng.randrange(starts[-1]), rng.randrange(starts[-1])
+        e = (min(u, v), max(u, v))
+        if block_of[u] == block_of[v] or e in edges or deg[u] >= cap or deg[v] >= cap:
+            continue
+        edges.add(e)
+        deg[u] += 1
+        deg[v] += 1
+    inst = make_instance(2, [range(a, b) for a, b in zip(starts, starts[1:])], sorted(edges))
+    return pad_blocks(inst, n + 1)
 
 
 def random_3_uniform(rng, num_edges):
@@ -234,19 +258,28 @@ class TestPinnedCertificates:
 
 
 def witness_state(prop):
-    """A copy of the engine's witness counters: ``count`` for r = 2, ``live``
-    and ``edge_dead`` for r >= 3."""
-    if prop.r == 2:
+    """A copy of the engine's witness counters.  For r = 2 that is the
+    search's ``miss`` table as sorted ((owner, block), miss) pairs, or the
+    certifier's ``count`` dicts; for r >= 3, ``live`` and ``edge_dead``."""
+    if prop.r == 2 and prop.record:
         return [dict(c) for c in prop.count]
+    if prop.r == 2:
+        first = prop.first_slot
+        return sorted(
+            ((prop.owner[s], b), prop.miss[s])
+            for b in range(len(first) - 1)
+            for s in range(first[b], first[b + 1])
+        )
     return list(prop.live), list(prop.edge_dead)
 
 
 def witness_recount(prop, inst):
-    """The witness counters recomputed from the edges.  For r = 2,
-    ``count[u][b]`` is the number of u's surviving neighbours in block b, for
-    every other block b where u has a neighbour.  For r >= 3 each slot counts
-    the live edges through its vertex over its witness blocks, and an edge
-    counts its forbidden vertices."""
+    """The witness counters recomputed from the edges.  For r = 2 there is
+    one entry per vertex u and other block b where u has a neighbour: the
+    search's ``miss`` counts b's surviving members that u is not adjacent
+    to, and the certifier's ``count[u][b]`` u's surviving neighbours in b.
+    For r >= 3 each slot counts the live edges through its vertex over its
+    witness blocks, and an edge counts its forbidden vertices."""
     r = inst.r
     if r == 2:
         count = [{} for _ in range(inst.num_vertices)]
@@ -255,7 +288,14 @@ def witness_recount(prop, inst):
                 b = inst.block_of(w)
                 if b != inst.block_of(u):
                     count[u][b] = count[u].get(b, 0) + (not prop.forbidden[w])
-        return count
+        if prop.record:
+            return count
+        adj = inst.adjacency()
+        return sorted(
+            ((u, b), sum(not prop.forbidden[w] and w not in adj[u] for w in inst.blocks[b].members))
+            for u, cu in enumerate(count)
+            for b in cu
+        )
     live = [0] * len(prop.live)
     dead = []
     for e in inst.edges:
@@ -293,6 +333,20 @@ class TestPropagationState:
             assert witness_state(prop) == witness_recount(prop, inst)
             assert (prop.forbidden, prop.surv_count) == (fresh.forbidden, fresh.surv_count)
 
+    def test_certifier_marks_keep_the_r2_counts_exact(self):
+        # the certifier keeps count dicts, the search its miss table; only
+        # the search undoes
+        rng = random.Random(20261029)
+        for _ in range(4):
+            inst = planted_join_instance(rng, 2)
+            prop = _Propagation(inst, record=True)
+            assert witness_state(prop) == witness_recount(prop, inst)
+            order = rng.sample(range(inst.num_vertices), inst.num_vertices // 2)
+            for i, v in enumerate(order):
+                prop._mark(v, None)
+                if i % 5 == 0:
+                    assert witness_state(prop) == witness_recount(prop, inst)
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_engines_on_one_instance_share_only_the_static_tables(self, r):
         rng = random.Random(20261027 + r)
@@ -304,7 +358,7 @@ class TestPropagationState:
             marked = witness_state(first)
             second = _Propagation(inst, record=False)
             if r == 2:
-                assert second.adj is first.adj and second.count is not first.count
+                assert second.adj is first.adj and second.miss is not first.miss
             else:
                 assert second.slot_of is first.slot_of and second.edge_slots is first.edge_slots
             assert witness_state(second) == witness_recount(second, inst)
@@ -881,6 +935,48 @@ class TestFindTransversal:
             if chosen is not None:
                 assert report.assignment == dict(enumerate(chosen))
 
+    # (seed, outcome, nodes_explored, chosen vertex per block) on
+    # unequal_blocks_instance(random.Random(seed)), as found by the search
+    # that kept per-vertex neighbour counts and re-checked touchers through
+    # them; each search explores at least 100 nodes
+    UNEQUAL_R2_PINNED = [
+        (34, "found", 245, [
+            0, 5, 9, 12, 16, 17, 22, 24, 26, 32, 35, 37, 39, 45, 47, 54, 55, 58, 60, 63, 67, 70,
+            76, 80, 86, 88, 92, 97, 98, 103, 106, 112, 114, 121, 125, 126, 133, 136, 142, 144,
+            151, 156, 158, 161, 164, 167, 172, 174, 177, 182, 186, 188, 191, 199, 202, 205, 208
+        ]),
+        (264, "found", 450, [
+            3, 5, 8, 12, 14, 17, 20, 25, 31, 34, 43, 47, 51, 53, 58, 61, 66, 70, 72, 78, 81, 86,
+            92, 93, 98, 104, 108, 109, 113, 115, 118, 121, 125, 128, 132, 133, 138, 141, 144,
+            148, 152, 156, 160, 162, 164, 169, 173, 178, 180, 185, 186, 188, 192, 199, 203, 207,
+            209, 212, 219, 220
+        ]),
+        (444, "found", 276, [
+            0, 2, 6, 10, 14, 18, 23, 27, 31, 36, 40, 44, 47, 50, 52, 58, 60, 64, 70, 74, 76, 82,
+            88, 90, 91, 94, 99, 101, 106, 110, 111, 119, 120, 129, 132, 136, 137, 142, 143, 147,
+            152, 154, 156, 162, 166, 170, 174, 176, 182, 183
+        ]),
+        (657, "found", 224, [
+            1, 6, 11, 13, 19, 21, 25, 28, 33, 37, 41, 49, 54, 59, 60, 64, 72, 73, 75, 81, 84,
+            86, 88, 90, 93, 99, 104, 105, 109, 113, 116, 121, 128, 129, 138, 140, 147, 152, 155,
+            161, 163, 167, 171, 173, 177, 181, 184, 186, 191, 197, 198, 201, 203, 208, 211, 215,
+            222, 225, 230, 232
+        ]),
+        (372, "none_exhaustive", 287, None),
+        (409, "none_exhaustive", 431, None),
+        (427, "none_exhaustive", 435, None),
+        (540, "none_exhaustive", 697, None),
+    ]
+
+    def test_pinned_r2_searches_on_unequal_blocks(self):
+        for seed, outcome, nodes, chosen in self.UNEQUAL_R2_PINNED:
+            inst = unequal_blocks_instance(random.Random(seed))
+            assert inst.blocks[-1].padding
+            report = find_transversal(inst)
+            assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+            if chosen is not None:
+                assert report.assignment == dict(enumerate(chosen))
+
     @pytest.mark.parametrize(
         "num_edges, outcome, nodes, chosen",
         [
@@ -1238,3 +1334,18 @@ class TestWWBound:
             worst = report.count if worst is None else min(worst, report.count)
         assert violations == 0
         assert worst >= 32  # (t/2)^n = 2^5
+
+    def test_node_budget_aborts_the_count(self):
+        # three edgeless blocks of two: 8 transversals, counted in 15 nodes
+        inst = make_instance(2, [[0, 1], [2, 3], [4, 5]], [])
+        full = check_ww_bound(inst)
+        assert (full.status, full.count) == ("bound_holds", 8)
+        assert count_transversals(inst).nodes_explored == 15
+        assert check_ww_bound(inst, max_nodes=15) == full
+        assert check_ww_bound(inst, max_nodes=14) == WWReport(status="aborted", nodes_explored=14)
+
+    def test_negative_node_budget_rejected(self):
+        # refused before the hypothesis check, which would answer first here
+        inst = build_forest(3, seq_of(3, [0, 3]))
+        with pytest.raises(ParameterError):
+            check_ww_bound(inst, max_nodes=-1)
