@@ -937,8 +937,9 @@ class TestFindTransversal:
 
     # (seed, outcome, nodes_explored, chosen vertex per block) on
     # unequal_blocks_instance(random.Random(seed)), as found by the search
-    # that kept per-vertex neighbour counts and re-checked touchers through
-    # them; each search explores at least 100 nodes
+    # that kept per-vertex neighbour-count dicts and filtered the touchers
+    # of each marked block through them; each search explores at least 100
+    # nodes
     UNEQUAL_R2_PINNED = [
         (34, "found", 245, [
             0, 5, 9, 12, 16, 17, 22, 24, 26, 32, 35, 37, 39, 45, 47, 54, 55, 58, 60, 63, 67, 70,
