@@ -31,11 +31,12 @@ from .model import HEAVY, LIGHT, Block, PartitionedInstance, _declared_t, thickn
 from .sequences import (
     GradeSequence,
     forest_grade_sequence,
-    grade_block_degree,
     hypergraph_grade_sequence,
     structure_violations,
     threshold_constant,
     validate_sequence,
+    _fitting_epsilon,
+    _grade_degrees,
     _implied_epsilon,
     _run_floor_recurrence,
 )
@@ -370,9 +371,9 @@ def _gadget_profile(
 
     ``parts`` are the join parts of the grade-1 gadget (all but the last two
     of size t) and ``values`` the grade values; ``values[0]`` is not read.
-    Checks every block degree against (c_r + epsilon) t^r, or returns the
-    smallest epsilon that fits when ``epsilon`` is None, and checks the
-    maximum degree (or ``local``, if ``bound_is_local``) against ``bound``.
+    Fits the smallest epsilon to the block degrees under the additive budget
+    (c_r + epsilon) t^r and refuses a given ``epsilon`` below it, then checks
+    the maximum degree (or ``local``, if ``bound_is_local``) against ``bound``.
     """
     c_r = threshold_constant(r)
     forced = r * t - sum(parts)
@@ -392,18 +393,15 @@ def _gadget_profile(
         prod_all + (forced if i < r - 2 else t - parts[i]) * t ** (r - 2) for i in range(r)
     ]
     degrees.append(values[1] * grade2_heavy + (t - values[1]) ** (r - 1))
-    degrees += [grade_block_degree(t, r, values[j - 1], values[j]) for j in range(2, len(values))]
+    degrees += _grade_degrees(t, r, values[1:])
 
-    if epsilon is None:
-        epsilon = max(Fraction(max(degrees), t**r) - c_r, Fraction(0))
-    else:
-        epsilon = Fraction(epsilon)
-        budget = (c_r + epsilon) * t**r
-        if max(degrees) > budget:
-            raise ParameterError(
-                f"block degree {max(degrees)} exceeds (c_r+eps)t^r = {budget}; "
-                f"epsilon={epsilon} is too small for this geometry"
-            )
+    fit = _fitting_epsilon(t, r, degrees)
+    epsilon = fit if epsilon is None else Fraction(epsilon)
+    if fit > epsilon:  # a given epsilon is positive, so the fit's floor at 0 is moot
+        raise ParameterError(
+            f"block degree {max(degrees)} exceeds (c_r+eps)t^r = {(c_r + epsilon) * t**r}; "
+            f"epsilon={epsilon} is too small for this geometry"
+        )
 
     checked = local if bound_is_local else max_deg
     if checked > bound:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the search-budget check."""
 
 from __future__ import annotations
 
@@ -75,3 +75,9 @@ class BuildSizeError(RuntimeError):
         self.predicted_blocks = predicted_blocks
         self.predicted_vertices = predicted_vertices
         self.predicted_edges = predicted_edges
+
+
+def _refuse_negative_budget(name: str, value: int | None) -> None:
+    """Raise ``ParameterError`` for a negative budget; None means unbounded."""
+    if value is not None and value < 0:
+        raise ParameterError(f"{name} must be at least 0, got {value}")

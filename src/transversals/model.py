@@ -380,41 +380,20 @@ def local_degree(instance: PartitionedInstance) -> int:
     return best
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
-        return True
-
-
 def is_forest(instance: PartitionedInstance) -> bool:
-    """True iff the graph is acyclic (r=2 only)."""
+    """True iff the graph is acyclic (r=2 only): union-find with path
+    halving, failing at the first edge inside one tree."""
     if instance.r != 2:
         raise UniformityError("forest check is defined for r=2 only")
-    uf = _UnionFind(instance.num_vertices)
+    parent = list(range(instance.num_vertices))
     for u, v in instance.edges:
-        if not uf.union(u, v):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
+        parent[u] = v
     return True
 
 

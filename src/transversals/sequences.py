@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import ParameterError
 
@@ -178,17 +178,15 @@ def minimal_epsilon(t: int, values: tuple[int, ...]) -> Fraction:
 
 
 def _implied_epsilon(t: int, r: int, values: tuple[int, ...]) -> Fraction:
-    """Smallest epsilon with every grade block's degree at most
-    (c_r + epsilon) t^r, for a structurally valid sequence.
+    """The fitting epsilon of a structurally valid sequence's grade blocks."""
+    return _fitting_epsilon(t, r, _grade_degrees(t, r, values))
 
-    Never negative: some step has n_j <= t/r <= n_{j+1}, and that block's
-    degree is at least (t/r)(t - t/r)^(r-1) = c_r t^r.
-    """
-    worst = max(
-        Fraction(grade_block_degree(t, r, values[j], values[j + 1]), t**r)
-        for j in range(len(values) - 1)
-    )
-    return worst - threshold_constant(r)
+
+def _fitting_epsilon(t: int, r: int, degrees: list[int]) -> Fraction:
+    """Smallest epsilon >= 0 with every degree at most (c_r + epsilon) t^r.
+    On a whole sequence the floor never binds: the step with n_j <= t/r <=
+    n_{j+1} has degree at least (t/r)(t - t/r)^(r-1) = c_r t^r."""
+    return max(Fraction(max(degrees), t**r) - threshold_constant(r), Fraction(0))
 
 
 # -- hypergraph sequences -----------------------------------------------------
@@ -305,51 +303,42 @@ def grade_block_degree(t: int, r: int, n_j: int, n_next: int) -> int:
     return n_next * (t - n_j) ** (r - 1) + (t - n_next) ** (r - 1)
 
 
+def _grade_degrees(t: int, r: int, values: Sequence[int]) -> list[int]:
+    """The block degree of each grade after the first, over consecutive values."""
+    return [grade_block_degree(t, r, a, b) for a, b in zip(values, values[1:])]
+
+
 def validate_sequence(seq: AnySequence) -> list[Violation]:
     """Check all sequence invariants under exact arithmetic.
+
+    Every grade block's degree meets one budget per sequence type.  A
+    :class:`GradeSequence` has the additive (c_2 + epsilon) t^2, that is
+    average degree at most (1/4 + epsilon) t; r >= 3 overrides and the
+    gadget profiles are fitted to the additive (c_r + epsilon) t^r too.  A
+    generated :class:`HypergraphGradeSequence` has the multiplicative
+    (1 + epsilon) c_r t^r and, if terminal, must meet the terminal rule.
 
     Returns an empty list iff the sequence is valid; each violation names the
     index j and the inequality that failed.
     """
     values, t = seq.values, seq.t
     out = structure_violations(t, values)
-
-    if isinstance(seq, HypergraphGradeSequence):
-        c_r = threshold_constant(seq.r)
-        r = seq.r
-        budget = (1 + seq.epsilon) * c_r * t**r
-        for j in range(len(values) - 1):
-            lhs = grade_block_degree(t, r, values[j], values[j + 1])
-            if lhs > budget:
-                out.append(
-                    Violation(
-                        j,
-                        f"block-degree bound failed at j={j + 1}: "
-                        f"{lhs} > (1+eps)c_r t^r = {budget}",
-                    )
-                )
-        if seq.terminal and len(values) >= 2:
-            gap = t - values[-2]
-            if gap ** (r - 1) > c_r * t ** (r - 1):
-                out.append(
-                    Violation(
-                        len(values) - 1,
-                        f"terminal rule fired although (t-n)^{{r-1}}={gap ** (r - 1)} "
-                        f"exceeds c_r t^(r-1) = {c_r * t ** (r - 1)}",
-                    )
-                )
+    hypergraph = isinstance(seq, HypergraphGradeSequence)
+    r = seq.r if hypergraph else 2
+    c_r = threshold_constant(r)
+    if hypergraph:
+        budget, shown = (1 + seq.epsilon) * c_r * t**r, "(1+eps)c_r t^r"
     else:
-        budget = (Fraction(1, 4) + seq.epsilon) * t
-        for j in range(len(values) - 1):
-            lhs = Fraction(grade_block_degree(t, 2, values[j], values[j + 1]), t)
-            if lhs > budget:
-                out.append(
-                    Violation(
-                        j,
-                        f"average-degree bound failed at j={j + 1}: "
-                        f"{lhs} > (1/4+eps)t = {budget}",
-                    )
-                )
+        budget, shown = (c_r + seq.epsilon) * t**r, "(c_r+eps)t^r"
+    for j, degree in enumerate(_grade_degrees(t, r, values)):
+        if degree > budget:
+            message = f"block-degree bound failed at j={j + 1}: {degree} > {shown} = {budget}"
+            out.append(Violation(j, message))
+    if hypergraph and seq.terminal and len(values) >= 2:
+        gap, cap = (t - values[-2]) ** (r - 1), c_r * t ** (r - 1)
+        if gap > cap:
+            message = f"terminal rule fired although (t-n)^{{r-1}}={gap} exceeds c_r t^(r-1)"
+            out.append(Violation(len(values) - 1, f"{message} = {cap}"))
     return out
 
 

@@ -1,4 +1,5 @@
-from collections import namedtuple
+import random
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,57 @@ def test_is_forest():
     assert not is_forest(triangle)
     path = make_instance(2, [[0], [1], [2]], [(0, 1), (1, 2)])
     assert is_forest(path)
+
+
+def cycle_rank(n, edges):
+    """Edges minus (vertices - components), with the components counted by
+    depth-first search: 0 exactly when the graph is a forest."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    components = 0
+    for source in range(n):
+        if seen[source]:
+            continue
+        components += 1
+        seen[source] = True
+        stack = [source]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return len(edges) - (n - components)
+
+
+def test_is_forest_matches_a_component_count():
+    # random forests on shuffled ids, some with extra edges closing cycles,
+    # cut into random blocks; the kinds tallied below must all occur
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(1500):
+        n = rng.randrange(1, 30)
+        perm = rng.sample(range(n), n)
+        edges = {
+            tuple(sorted((perm[rng.randrange(v)], perm[v])))
+            for v in range(1, n)
+            if rng.random() < 0.8
+        }
+        for _ in range(rng.choice((0, 0, 1, 2, 5)) if n > 1 else 0):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n))) if n > 1 else []
+        order = rng.sample(range(n), n)
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        inst = make_instance(2, blocks, sorted(edges))
+        cycles = cycle_rank(n, inst.edges)
+        assert is_forest(inst) == (cycles == 0)
+        degrees = Counter(v for e in inst.edges for v in e)
+        kinds["forest" if cycles == 0 else "several cycles" if cycles > 1 else "one cycle"] += 1
+        kinds["isolated vertex"] += any(degrees[v] == 0 for v in range(n))
+        kinds["disconnected"] += len(inst.edges) - cycles < n - 1
+    assert min(kinds.values()) >= 100 and len(kinds) == 5, kinds
 
 
 def test_thickness():

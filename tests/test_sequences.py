@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from transversals import (
     GradeSequence,
+    HypergraphGradeSequence,
     ParameterError,
     forest_grade_sequence,
     haxell_threshold,
@@ -17,6 +19,7 @@ from transversals import (
     threshold_constant,
     validate_sequence,
 )
+from transversals.sequences import _implied_epsilon, grade_block_degree, structure_violations
 
 
 def lhs(t, values, j):
@@ -255,3 +258,93 @@ class TestHaxellThreshold:
     def test_rejects_single_block(self):
         with pytest.raises(ParameterError):
             haxell_threshold(1, 5)
+
+
+def reference_validate_sequence(seq):
+    """validate_sequence as it was with one budget loop per sequence type:
+    average degree against (1/4 + eps) t for graphs, block degree against
+    (1 + eps) c_r t^r and the terminal rule for hypergraphs."""
+    values, t = seq.values, seq.t
+    out = [(v.index, v.message) for v in structure_violations(t, values)]
+    if isinstance(seq, HypergraphGradeSequence):
+        c_r = threshold_constant(seq.r)
+        r = seq.r
+        budget = (1 + seq.epsilon) * c_r * t**r
+        for j in range(len(values) - 1):
+            lhs = grade_block_degree(t, r, values[j], values[j + 1])
+            if lhs > budget:
+                out.append((j, f"block-degree bound failed at j={j + 1}: "
+                            f"{lhs} > (1+eps)c_r t^r = {budget}"))
+        if seq.terminal and len(values) >= 2:
+            gap = t - values[-2]
+            if gap ** (r - 1) > c_r * t ** (r - 1):
+                out.append((len(values) - 1,
+                            f"terminal rule fired although (t-n)^{{r-1}}={gap ** (r - 1)} "
+                            f"exceeds c_r t^(r-1) = {c_r * t ** (r - 1)}"))
+    else:
+        budget = (Fraction(1, 4) + seq.epsilon) * t
+        for j in range(len(values) - 1):
+            lhs = Fraction(grade_block_degree(t, 2, values[j], values[j + 1]), t)
+            if lhs > budget:
+                out.append((j, f"average-degree bound failed at j={j + 1}"))
+    return out
+
+
+def reference_implied_epsilon(t, r, values):
+    """The largest grade-block degree over t^r, minus c_r."""
+    worst = max(
+        Fraction(grade_block_degree(t, r, values[j], values[j + 1]), t**r)
+        for j in range(len(values) - 1)
+    )
+    return worst - threshold_constant(r)
+
+
+def all_sequences(max_t):
+    """Every sequence 0 = n_1 < ... < n_k = t with 1 <= t <= max_t."""
+    for t in range(1, max_t + 1):
+        for k in range(t):
+            for inner in itertools.combinations(range(1, t), k):
+                yield t, (0, *inner, t)
+
+
+class TestOneBudgetRule:
+    EPSILONS = [Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(3, 10), Fraction(1)]
+
+    def test_violations_and_epsilons_match_the_per_type_loops(self):
+        # 4,095 sequences, each at five epsilons as a graph sequence and as
+        # r = 3 and r = 4 sequences (terminal on every other one): the
+        # violation indices, and for hypergraphs the messages, are unchanged
+        cases = 0
+        for i, (t, values) in enumerate(all_sequences(12)):
+            assert minimal_epsilon(t, values) == reference_implied_epsilon(t, 2, values)
+            for r in (3, 4):
+                assert _implied_epsilon(t, r, values) == reference_implied_epsilon(t, r, values)
+            for eps in self.EPSILONS:
+                seqs = [GradeSequence(t=t, epsilon=eps, values=values)] + [
+                    HypergraphGradeSequence(t=t, r=r, epsilon=eps, values=values, terminal=i % 2 == 1)
+                    for r in (3, 4)
+                ]
+                for seq in seqs:
+                    got = [(v.index, v.message) for v in validate_sequence(seq)]
+                    want = reference_validate_sequence(seq)
+                    if isinstance(seq, GradeSequence):
+                        got, want = [j for j, _ in got], [j for j, _ in want]
+                    assert got == want, (seq, got, want)
+                    cases += 1
+        assert cases == 61_425
+
+    def test_structurally_invalid_sequences_keep_their_violations(self):
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            t = rng.randrange(1, 13)
+            values = tuple(rng.randrange(0, t + 1) for _ in range(rng.randrange(0, 6)))
+            eps = rng.choice(self.EPSILONS)
+            graph = GradeSequence(t=t, epsilon=eps, values=values)
+            assert [v.index for v in validate_sequence(graph)] == [
+                j for j, _ in reference_validate_sequence(graph)
+            ]
+            for r in (3, 4):
+                seq = HypergraphGradeSequence(t=t, r=r, epsilon=eps, values=values, terminal=True)
+                assert [(v.index, v.message) for v in validate_sequence(seq)] == (
+                    reference_validate_sequence(seq)
+                )

@@ -836,13 +836,13 @@ class TestFindTransversal:
 
     def test_t6_simple_forest_refuted_without_search(self):
         inst = build_forest(6, simple_sequence(6))
-        report = find_transversal(inst)
+        report = find_transversal(inst, max_nodes=2)
         assert report.outcome == "none_exhaustive"
         assert report.nodes_explored == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_stars_pruned_quickly(self, k):
-        report = find_transversal(build_star_counterexample(k))
+        report = find_transversal(build_star_counterexample(k), max_nodes=3)
         assert report.outcome == "none_exhaustive"
         assert report.nodes_explored <= 2
 
@@ -873,7 +873,7 @@ class TestFindTransversal:
         # one search level per block: 1200 levels would overflow a
         # recursive search
         inst = chain(1200)
-        report = find_transversal(inst)
+        report = find_transversal(inst, max_nodes=1202)
         assert report.outcome == "found"
         assert report.nodes_explored == 1201
         assert is_independent_transversal(inst, report.assignment)
@@ -912,7 +912,9 @@ class TestFindTransversal:
 
     # (outcome, nodes_explored, chosen vertex per block), as found by the
     # search that rebuilt the propagation at every node; the incremental
-    # search must branch and prune exactly as it did
+    # search must branch and prune exactly as it did.  Here and in the pins
+    # below a node budget one above the pin makes a search that stops
+    # pruning fail as "aborted" instead of running on.
     R2_PINNED = [
         ("none_exhaustive", 5, None),
         ("found", 17, [0, 3, 7, 9, 12, 15, 18, 21, 25, 28, 30, 33, 37, 40, 44, 45, 48, 51, 54, 57]),
@@ -930,7 +932,7 @@ class TestFindTransversal:
         rng = random.Random(20261018)
         for outcome, nodes, chosen in self.R2_PINNED:
             inst = random_capped_degree_instance(3, 20, rng, cap=6)
-            report = find_transversal(inst)
+            report = find_transversal(inst, max_nodes=nodes + 1)
             assert (report.outcome, report.nodes_explored) == (outcome, nodes)
             if chosen is not None:
                 assert report.assignment == dict(enumerate(chosen))
@@ -973,7 +975,7 @@ class TestFindTransversal:
         for seed, outcome, nodes, chosen in self.UNEQUAL_R2_PINNED:
             inst = unequal_blocks_instance(random.Random(seed))
             assert inst.blocks[-1].padding
-            report = find_transversal(inst)
+            report = find_transversal(inst, max_nodes=nodes + 1)
             assert (report.outcome, report.nodes_explored) == (outcome, nodes)
             if chosen is not None:
                 assert report.assignment == dict(enumerate(chosen))
@@ -988,7 +990,7 @@ class TestFindTransversal:
     def test_pinned_r3_searches(self, num_edges, outcome, nodes, chosen):
         inst = random_3_uniform(random.Random(7), num_edges)
         for _ in range(2):  # the second search reads the witness index the first built
-            report = find_transversal(inst)
+            report = find_transversal(inst, max_nodes=nodes + 1)
             assert (report.outcome, report.nodes_explored) == (outcome, nodes)
             if chosen is not None:
                 assert report.assignment == dict(enumerate(chosen))
@@ -1018,7 +1020,7 @@ class TestFindTransversal:
     def test_pinned_planted_r3_searches(self):
         rng = random.Random(20261023)
         for outcome, nodes, chosen in self.PLANTED_R3_PINNED:
-            report = find_transversal(planted_join_instance(rng, 3))
+            report = find_transversal(planted_join_instance(rng, 3), max_nodes=nodes + 1)
             assert (report.outcome, report.nodes_explored) == (outcome, nodes)
             if chosen is not None:
                 assert report.assignment == dict(enumerate(chosen))
@@ -1053,7 +1055,7 @@ class TestFindTransversal:
         rng = random.Random(20261024)
         for num_edges, outcome, nodes, chosen in self.RANDOM_R3_PINNED:
             inst = random_3_uniform(rng, rng.randrange(120, 280))
-            report = find_transversal(inst)
+            report = find_transversal(inst, max_nodes=nodes + 1)
             assert (len(inst.edges), report.outcome, report.nodes_explored) == (
                 num_edges, outcome, nodes,
             )
@@ -1221,24 +1223,27 @@ class TestCountTransversals:
     ]
 
     @staticmethod
-    def _counts(inst):
-        return tuple(
-            (report.outcome, report.count, report.nodes_explored)
-            for report in (count_transversals(inst, cap=cap) for cap in (None, 1, 3))
+    def _counts(inst, pinned):
+        # each count gets a node budget one above its pin, so a counter that
+        # stops pruning fails the comparison instead of running on
+        reports = (
+            count_transversals(inst, cap=cap, max_nodes=nodes + 1)
+            for cap, (_, _, nodes) in zip((None, 1, 3), pinned)
         )
+        return tuple((report.outcome, report.count, report.nodes_explored) for report in reports)
 
     def test_pinned_r2_counts(self):
         rng = random.Random(20261019)
         for pinned in self.R2_PINNED:
             t, n, cap = rng.choice((2, 3)), rng.randrange(5, 10), rng.randrange(2, 6)
             inst = random_capped_degree_instance(t, n, rng, cap=cap)
-            assert self._counts(inst) == pinned
+            assert self._counts(inst, pinned) == pinned
 
     def test_pinned_r3_counts(self):
         rng = random.Random(20261020)
         for pinned in self.R3_PINNED:
             inst = random_3_uniform(rng, rng.randrange(60, 260))
-            assert self._counts(inst) == pinned
+            assert self._counts(inst, pinned) == pinned
 
     @pytest.mark.parametrize(
         "build, count, nodes",
@@ -1249,7 +1254,7 @@ class TestCountTransversals:
         ],
     )
     def test_pinned_uncapped_counts(self, build, count, nodes):
-        report = count_transversals(build())
+        report = count_transversals(build(), max_nodes=nodes + 1)
         assert (report.outcome, report.count, report.nodes_explored) == (
             "count", count, nodes,
         )
@@ -1341,7 +1346,7 @@ class TestWWBound:
         inst = make_instance(2, [[0, 1], [2, 3], [4, 5]], [])
         full = check_ww_bound(inst)
         assert (full.status, full.count) == ("bound_holds", 8)
-        assert count_transversals(inst).nodes_explored == 15
+        assert count_transversals(inst, max_nodes=16).nodes_explored == 15
         assert check_ww_bound(inst, max_nodes=15) == full
         assert check_ww_bound(inst, max_nodes=14) == WWReport(status="aborted", nodes_explored=14)
 
