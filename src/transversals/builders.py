@@ -55,8 +55,7 @@ DEFAULT_MAX_CELLS = 5_000_000
 class BuildRecipe:
     """Flag-level description of a build, used by the CLI."""
 
-    kind: str  # forest | bounded_degree | local_degree | hypergraph |
-    #            hypergraph_bounded_degree | stars
+    kind: str  # a key of _RECIPE_READS
     t: int | None = None
     r: int = 2
     epsilon: Fraction | None = None
@@ -116,20 +115,13 @@ class _Accum:
         self._next = 0
 
     def add_block(
-        self, grade: int | None, light: int, heavy: int, padding: bool = False
+        self, grade: int | None, light: int, heavy: int
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         lights = tuple(range(self._next, self._next + light))
         self._next += light
         heavies = tuple(range(self._next, self._next + heavy))
         self._next += heavy
-        self.blocks.append(
-            Block(
-                id=len(self.blocks),
-                members=lights + heavies,
-                grade=grade,
-                padding=padding,
-            )
-        )
+        self.blocks.append(Block(id=len(self.blocks), members=lights + heavies, grade=grade))
         self.roles.extend([LIGHT] * light + [HEAVY] * heavy)
         return lights, heavies
 
@@ -251,20 +243,7 @@ def build_forest(
     violations = validate_sequence(seq)
     if violations:
         raise SequenceError(f"invalid sequence: {violations}")
-    inst = _build_recursive(
-        t,
-        2,
-        seq.values,
-        None,
-        max_cells,
-        meta={
-            "builder": "forest",
-            "t": str(t),
-            "epsilon": str(seq.epsilon),
-            "sequence": _seq_str(seq.values),
-        },
-    )
-    return inst
+    return _build_recursive("forest", t, 2, seq.values, seq.epsilon, None, max_cells)
 
 
 def build_hypergraph(
@@ -283,26 +262,11 @@ def build_hypergraph(
     """
     values = _hypergraph_values(t, r, epsilon, sequence_override)
     if sequence_override is not None:
-        meta_eps = str(_implied_epsilon(t, r, values))
-        seq_source = "override"
+        epsilon, source = _implied_epsilon(t, r, values), "override"
     else:
-        meta_eps = str(Fraction(epsilon))
-        seq_source = "generated"
-    return _build_recursive(
-        t,
-        r,
-        values,
-        None,
-        max_cells,
-        meta={
-            "builder": "hypergraph",
-            "t": str(t),
-            "r": str(r),
-            "epsilon": meta_eps,
-            "sequence": _seq_str(values),
-            "sequence_source": seq_source,
-        },
-    )
+        epsilon, source = Fraction(epsilon), "generated"
+    extra_meta = {"r": str(r), "sequence_source": source}
+    return _build_recursive("hypergraph", t, r, values, epsilon, None, max_cells, extra_meta)
 
 
 def _hypergraph_values(
@@ -327,20 +291,25 @@ def _hypergraph_values(
 
 
 def _build_recursive(
+    builder: str,
     t: int,
     r: int,
     values: Sequence[int],
+    epsilon: Fraction,
     gadget_parts: tuple[int, ...] | None,
     max_cells: int | None,
-    meta: dict[str, str],
+    extra_meta: dict[str, str] | None = None,
 ) -> PartitionedInstance:
     """Build the top unit on plain grade-1 units, or on join gadgets with
-    ``gadget_parts``; refuse it first if the prediction exceeds the budget."""
+    ``gadget_parts``; refuse it first if the prediction exceeds the budget.
+    The metadata of every recursive build is written here: the builder, t,
+    epsilon and sequence, then the builder's own ``extra_meta``."""
     pred = predict_size(t, r, values, gadget_parts)
-    _check_budget(pred, max_cells, meta["builder"])
+    _check_budget(pred, max_cells, builder)
     acc = _Accum(r)
     _build_tree(acc, len(values), t, values, r, gadget_parts)
-    inst = acc.finish(meta)
+    meta = {"builder": builder, "t": str(t), "epsilon": str(epsilon), "sequence": _seq_str(values)}
+    inst = acc.finish({**meta, **(extra_meta or {})})
     if inst.num_blocks != pred.blocks or len(inst.edges) != pred.edges:
         raise AssertionError(
             f"size prediction mismatch: predicted {pred}, "
@@ -499,7 +468,7 @@ def build_bounded_degree(
     ``transversals certify``) proves that it has no independent transversal.
     """
     profile = bounded_degree_profile(t, epsilon, alpha)
-    return _build_gadget(profile, "bounded_degree", max_cells, alpha=str(profile.alpha))
+    return _build_gadget(profile, "bounded_degree", max_cells, {"alpha": str(profile.alpha)})
 
 
 def build_local_degree(
@@ -513,26 +482,22 @@ def build_local_degree(
     ``transversals certify``) proves that it has no independent transversal.
     """
     profile = local_degree_profile(t, epsilon)
-    return _build_gadget(profile, "local_degree", max_cells, alpha=str(profile.alpha))
+    return _build_gadget(profile, "local_degree", max_cells, {"alpha": str(profile.alpha)})
 
 
 def _build_gadget(
-    profile: DegreeBoundedProfile, name: str, max_cells: int | None, **meta: str
+    profile: DegreeBoundedProfile, name: str, max_cells: int | None, extra_meta: dict[str, str]
 ) -> PartitionedInstance:
     """Materialize a degree-bounded profile: join gadgets at grade 1."""
     return _build_recursive(
+        name,
         profile.t,
         profile.r,
         profile.grade_values,
+        profile.epsilon,
         profile.part_sizes,
         max_cells,
-        meta={
-            "builder": name,
-            "t": str(profile.t),
-            "epsilon": str(profile.epsilon),
-            "sequence": _seq_str(profile.grade_values),
-            **meta,
-        },
+        extra_meta,
     )
 
 
@@ -589,9 +554,11 @@ def build_hypergraph_bounded_degree(
         profile,
         "hypergraph_bounded_degree",
         max_cells,
-        r=str(r),
-        parts=_seq_str(profile.part_sizes),
-        sequence_source="override" if sequence_override is not None else "generated",
+        {
+            "r": str(r),
+            "parts": _seq_str(profile.part_sizes),
+            "sequence_source": "override" if sequence_override is not None else "generated",
+        },
     )
 
 

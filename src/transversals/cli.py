@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .builders import BuildRecipe, build, pad_blocks
+from .builders import _RECIPE_READS, BuildRecipe, build, pad_blocks
 from .certificate import (
     check_certificate,
     read_certificate,
@@ -50,15 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
-
-KINDS = (
-    "forest",
-    "bounded_degree",
-    "local_degree",
-    "hypergraph",
-    "hypergraph_bounded_degree",
-    "stars",
-)
 
 
 def _fraction(text: str) -> Fraction:
@@ -109,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="build an instance and write it as JSON")
-    gen.add_argument("--kind", required=True, choices=KINDS)
+    gen.add_argument("--kind", required=True, choices=_RECIPE_READS)
     gen.add_argument("--t", type=int)
     gen.add_argument("--r", type=int, default=2)
     gen.add_argument("--epsilon", type=_fraction)

@@ -77,7 +77,8 @@ class BuildSizeError(RuntimeError):
         self.predicted_edges = predicted_edges
 
 
-def _refuse_negative_budget(name: str, value: int | None) -> None:
-    """Raise ``ParameterError`` for a negative budget; None means unbounded."""
-    if value is not None and value < 0:
-        raise ParameterError(f"{name} must be at least 0, got {value}")
+def _refuse_bad_budget(name: str, value: int | None) -> None:
+    """Raise ``ParameterError`` for a budget that is neither None (unbounded)
+    nor an ``int`` of at least 0; a bool is refused, as ``True`` would run as 1."""
+    if value is not None and (type(value) is not int or value < 0):
+        raise ParameterError(f"{name} must be None or an int of at least 0, got {value!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -48,18 +48,17 @@ def serialize_instance(instance: PartitionedInstance) -> bytes:
 
 
 def parse_instance(data: bytes | str) -> PartitionedInstance:
-    """Check the JSON shape and types here, in whole-list passes that fall
-    back to a loop only to name the bad entry; the structural invariants
-    (partition, dense ids, grades, edge arity, duplicates) are the model's."""
+    """Check the JSON shape here: the version, the top-level object, and
+    that blocks, vertices and edges are arrays and vertex entries objects.
+    Every value (uniformity, ids, grades, padding, roles, edge entries and
+    meta) is the model's to check; its faults come out as ``ParseError``
+    with the model's location."""
     obj = _load_json(data)
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
     version = obj.get("version")
     if version != INSTANCE_VERSION:
         raise ParseError(f"unsupported instance version {version!r}")
-    r = obj.get("r")
-    if not _is_int(r):
-        raise ParseError(f"invalid uniformity {r!r}")
 
     # popped, so that the block dicts are freed once the blocks are built
     blocks, roles = _parse_blocks(obj.pop("blocks", None))
@@ -67,14 +66,16 @@ def parse_instance(data: bytes | str) -> PartitionedInstance:
     edges = obj.pop("edges", None)
     if not isinstance(edges, list):
         raise ParseError("edges must be an array")
-    if not (_only(edges, list) and _only(chain.from_iterable(edges), int)):
-        i = next(i for i, e in enumerate(edges) if type(e) is not list or not _only(e, int))
+    if not _only(edges, list):
+        i = next(i for i, e in enumerate(edges) if type(e) is not list)
         raise ParseError("edge must be an array of vertex ids", location=f"edge {i}")
     for i, e in enumerate(edges):  # in place: each list is freed as its tuple replaces it
         edges[i] = tuple(e)
 
     try:
-        return PartitionedInstance(r, blocks, edges, roles=roles, meta=obj.get("meta", {}))
+        return PartitionedInstance(
+            obj.get("r"), blocks, edges, roles=roles, meta=obj.get("meta", {})
+        )
     except InstanceError as exc:
         raise ParseError(exc.message, location=exc.location) from exc
 
@@ -84,35 +85,33 @@ def _parse_blocks(raw_blocks: Any) -> tuple[list[Block], list[Any]]:
     if not isinstance(raw_blocks, list):
         raise ParseError("blocks must be an array")
     blocks: list[Block] = []
-    ids: list[int] = []
+    ids: list[Any] = []
     roles: list[Any] = []
     for i, raw in enumerate(raw_blocks):
         loc = f"block {i}"
         if not isinstance(raw, dict):
             raise ParseError("block entry must be an object", location=loc)
-        block_id = raw.get("id")
-        if not _is_int(block_id):
-            raise ParseError(f"invalid block id {block_id!r}", location=loc)
         entries = raw.get("vertices", [])
         if not isinstance(entries, list):
             raise ParseError("vertices must be an array", location=loc)
-        if not (_only(entries, dict) and _only(map(dict.get, entries, repeat("id")), int)):
-            raise ParseError("vertex entry must be an object with an id", location=loc)
+        if not _only(entries, dict):
+            raise ParseError("vertex entry must be an object", location=loc)
         start = len(ids)
         ids.extend(map(dict.get, entries, repeat("id")))
         roles.extend(map(dict.get, entries, repeat("role")))
         blocks.append(
             Block(
-                id=block_id,
+                id=raw.get("id"),
                 members=tuple(ids[start:]),
                 grade=raw.get("grade"),
                 padding=raw.get("padding", False),
             )
         )
-    # Ids out of range or repeated are left unplaced here: the model rejects them.
+    # Ids that are not ints, out of range or repeated are left unplaced
+    # here: the model rejects them.
     role_list: list[Any] = [None] * len(ids)
     for v, role in zip(ids, roles):
-        if 0 <= v < len(ids):
+        if type(v) is int and 0 <= v < len(ids):
             role_list[v] = role
     return blocks, role_list
 

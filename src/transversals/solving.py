@@ -40,7 +40,7 @@ from .certificate import (
     JoinForcedStep,
     Step,
 )
-from .errors import _refuse_negative_budget
+from .errors import _refuse_bad_budget
 from .model import PartitionedInstance, _all_block_degrees, thickness
 from .sequences import threshold_constant
 
@@ -551,7 +551,7 @@ def find_transversal(
     ``max_nodes`` (at least 0) bounds the search: a search that would
     explore more nodes stops after that many with the outcome ``aborted``.
     """
-    _refuse_negative_budget("max_nodes", max_nodes)
+    _refuse_bad_budget("max_nodes", max_nodes)
     start = time.perf_counter()
     prop = _Propagation(instance, record=False)
     surv_count = prop.surv_count
@@ -635,8 +635,8 @@ def count_transversals(
     ``aborted``.  The stack is explicit, so the depth is limited by memory,
     not by the recursion limit.
     """
-    _refuse_negative_budget("cap", cap)
-    _refuse_negative_budget("max_nodes", max_nodes)
+    _refuse_bad_budget("cap", cap)
+    _refuse_bad_budget("max_nodes", max_nodes)
     start = time.perf_counter()
     r = instance.r
     num_blocks = instance.num_blocks
@@ -751,7 +751,7 @@ def check_ww_bound(instance: PartitionedInstance, max_nodes: int | None = None) 
     :func:`count_transversals`, and a count that would explore more nodes
     gives the status ``aborted`` with the nodes it explored.
     """
-    _refuse_negative_budget("max_nodes", max_nodes)
+    _refuse_bad_budget("max_nodes", max_nodes)
     t = thickness(instance)
     r = instance.r
     c_r = threshold_constant(r)

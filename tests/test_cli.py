@@ -1,9 +1,18 @@
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from transversals import check_certificate, read_certificate, read_instance
+from transversals import (
+    BuildRecipe,
+    BuildSizeError,
+    build,
+    check_certificate,
+    read_certificate,
+    read_instance,
+)
 from transversals.cli import main
 
 
@@ -90,6 +99,28 @@ class TestGen:
             assert code == 2
             assert out == ""
             assert "beyond the budget" in err
+
+    # one small recipe per kind that ``gen --help`` offers, in its order
+    KIND_RECIPES = {
+        "forest": BuildRecipe(kind="forest", t=3, sequence_override=(0, 3)),
+        "bounded_degree": BuildRecipe(kind="bounded_degree", t=12, epsilon=Fraction(2, 5)),
+        "local_degree": BuildRecipe(kind="local_degree", t=14, epsilon=Fraction(3, 10)),
+        "hypergraph": BuildRecipe(kind="hypergraph", t=3, r=3, sequence_override=(0, 1, 3)),
+        "hypergraph_bounded_degree": BuildRecipe(
+            kind="hypergraph_bounded_degree", t=21, r=3, sequence_override=(0, 3, 21)
+        ),
+        "stars": BuildRecipe(kind="stars", k_stars=2),
+    }
+
+    def test_help_pins_the_kinds_and_build_reads_each(self, capsys):
+        code, out, _ = run(capsys, "gen", "--help")
+        assert code == 0
+        kinds = re.search(r"--kind \{([^}]*)\}", out).group(1).split(",")
+        assert kinds == list(self.KIND_RECIPES)
+        for kind in kinds:
+            # a budget of no cells refuses each build in the builder it reached
+            with pytest.raises(BuildSizeError, match=f"^{kind} would materialize"):
+                build(self.KIND_RECIPES[kind], max_cells=0)
 
 
 class TestMetrics:

@@ -239,11 +239,11 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "where, message",
         [
-            ("vertex-id", "vertex entry"),
-            ("edge-entry", "edge must be an array"),
-            ("block-id", "invalid block id"),
+            ("vertex-id", "not an int"),
+            ("edge-entry", "not an int"),
+            ("block-id", "dense and ordered"),
             ("grade", "invalid grade"),
-            ("r", "invalid uniformity"),
+            ("r", "uniformity must be an int"),
         ],
     )
     def test_boolean_is_not_an_int(self, where, message):
@@ -260,8 +260,16 @@ class TestParseErrors:
             obj["blocks"][0]["grade"] = True
         else:
             obj["r"] = True
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(ParseError, match=message) as err:
             parse_instance(json.dumps(obj))
+        locations = {
+            "vertex-id": "block 0",
+            "edge-entry": "edge 0",
+            "block-id": "block 1",
+            "grade": "block 0",
+            "r": None,
+        }
+        assert err.value.location == locations[where]
 
     @pytest.mark.parametrize(
         "step, conclusion",
@@ -325,6 +333,46 @@ class TestDeclaredT:
         path.write_text(self._data(t))
         assert cli_main(["metrics", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["thickness"] == size
+
+
+# Every value position of an instance file: its path in the golden forest
+# t=3 and the location the model names for a bad value there.  Roles and
+# meta are checked as wholes, with no location.
+VALUE_POSITIONS = {
+    "r": (("r",), None),
+    "block-id": (("blocks", 1, "id"), "block 1"),
+    "vertex-id": (("blocks", 1, "vertices", 1, "id"), "block 1"),
+    "grade": (("blocks", 1, "grade"), "block 1"),
+    "padding": (("blocks", 1, "padding"), "block 1"),
+    "role": (("blocks", 1, "vertices", 1, "role"), None),
+    "edge-entry": (("edges", 1, 0), "edge 1"),
+    "meta-value": (("meta", "t"), None),
+}
+BAD_VALUES = {
+    "true": True, "1.5": 1.5, "str": "1", "null": None, "list": [1], "object": {},
+    "-1": -1, "1e30": 10**30,
+}
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+@pytest.mark.parametrize("position", VALUE_POSITIONS)
+def test_every_value_position_parses_or_names_its_location(position, value):
+    """The parser checks only the JSON shape; the model checks each value
+    and the parser passes its location on."""
+    path, location = VALUE_POSITIONS[position]
+    obj = json.loads((GOLDEN / "forest_t3.json").read_bytes())
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    if position == "r" and type(value) is int and value >= 2:
+        location = "edge 0"  # a valid uniformity that the 2-vertex edges do not meet
+    try:
+        inst = parse_instance(json.dumps(obj))
+    except ParseError as err:
+        assert err.location == location
+    else:
+        assert parse_instance(serialize_instance(inst)) == inst
 
 
 @pytest.mark.parametrize("meta", [{"t": 3}, {"t": ["3"]}, [], "t"])

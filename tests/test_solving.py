@@ -1355,3 +1355,21 @@ class TestWWBound:
         inst = build_forest(3, seq_of(3, [0, 3]))
         with pytest.raises(ParameterError):
             check_ww_bound(inst, max_nodes=-1)
+
+
+# Each search budget, given as a function of the budget.
+BUDGETS = {
+    "find-max_nodes": lambda budget: find_transversal(chain(3), max_nodes=budget),
+    "count-cap": lambda budget: count_transversals(chain(3), cap=budget),
+    "count-max_nodes": lambda budget: count_transversals(chain(3), max_nodes=budget),
+    "ww-max_nodes": lambda budget: check_ww_bound(chain(3), max_nodes=budget),
+}
+
+
+@pytest.mark.parametrize("budget", ["5", True, False, 2.5, Fraction(3), [3]])
+@pytest.mark.parametrize("search", BUDGETS)
+def test_budget_that_is_not_an_int_is_refused(search, budget):
+    # "5" used to leak TypeError, True to run as a budget of 1, and 2.5 was
+    # never met: the counter ran all 10 nodes of chain(3) under it
+    with pytest.raises(ParameterError, match="must be None or an int of at least 0"):
+        BUDGETS[search](budget)
