@@ -79,9 +79,11 @@ class PartitionedInstance:
 
     Instances are safe to share between threads once constructed.  Derived
     read-only tables are built on first use and cached: the adjacency and
-    incidence lists here, and the propagation engine's witness index in
-    ``_witness``, which only :mod:`transversals.solving` reads.  Two threads
-    that race on a cache only build it twice.
+    incidence lists here, and in ``_witness``, which only
+    :mod:`transversals.solving` reads, the r >= 3 engine's witness index or
+    the r = 2 search's slot index.  The search index's ``hit`` rows are
+    filled one at a time as searches first need them.  Two threads that race
+    on a cache only build it twice, or write equal rows.
     """
 
     __slots__ = (
@@ -155,9 +157,9 @@ class PartitionedInstance:
         else:
             if len(roles) != n:
                 raise InstanceError("roles must cover every vertex")
-            for role in roles:
+            for v, role in enumerate(roles):
                 if role not in (None, HEAVY, LIGHT):
-                    raise InstanceError(f"unknown role {role!r}")
+                    raise InstanceError(f"unknown role {role!r}", f"block {block_of[v]}")
             self.roles = tuple(roles)
 
         self.meta: dict[str, str] = dict(meta)

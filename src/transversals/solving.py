@@ -13,7 +13,8 @@ Two independent engines:
   (residual support counting, Lecoutre and Hemery, IJCAI 2007).  An emptied
   block ends the ordered log, a :class:`Certificate` for ``certificate`` to replay.
   The r = 2 search counts from the other side: per vertex and other block,
-  the block's survivors that the vertex is not adjacent to.
+  the block's survivors that the vertex is not adjacent to, in slots also
+  built once per instance, each search copying only the counts.
 
 * :func:`find_transversal` is exact backtracking (fewest-survivors block
   first) pruned by the same propagation; :func:`count_transversals` is a
@@ -118,6 +119,35 @@ def _witness_index(inst: PartitionedInstance) -> tuple:
     return inst._witness
 
 
+def _search_index(inst: PartitionedInstance) -> tuple:
+    """The r = 2 search's static tables ``(owner, first_slot, miss, seed,
+    hit)``, built on first use and kept in the instance's ``_witness`` slot,
+    which never holds the r >= 3 index too since ``r`` is fixed per
+    instance; engines copy only ``miss``, the root counts.  ``seed`` lists
+    the owners of the slots whose root ``miss`` is 0: the root queue.
+    ``hit`` starts all None, and the first search to mark a vertex fills its
+    row, the one write the index takes after it is built (two threads that
+    race write equal rows)."""
+    if inst._witness is None:
+        adj = inst.adjacency()
+        owner: list[int] = []
+        miss: list[int] = []
+        first_slot = [0]
+        met: Counter[int] = Counter()
+        for blk in inst.blocks:
+            met.clear()
+            met.update(itertools.chain.from_iterable(map(adj.__getitem__, blk.members)))
+            for w in blk.members:
+                met.pop(w, None)
+            owner += met
+            miss += [blk.size - c for c in met.values()]
+            first_slot.append(len(owner))
+        seed = tuple(u for u, m in zip(owner, miss) if m == 0)
+        hit: list[list[int] | None] = [None] * inst.num_vertices
+        inst._witness = (owner, first_slot, miss, seed, hit)
+    return inst._witness
+
+
 class _Propagation:
     """Shared fixpoint machinery for certification and solver pruning.
 
@@ -133,17 +163,18 @@ class _Propagation:
     that order.  The certifier's r = 2 counts are dicts, ``count[u][b]``
     being u's surviving neighbours in block b.
 
-    The r = 2 search (``record=False``) keeps one table instead, built per
-    engine and not cached on the instance.  It has one slot per vertex u
-    and block b other than u's where u has a neighbour; the slots into b
-    run from ``first_slot[b]`` to ``first_slot[b + 1]``, and ``owner[s]``
-    is the slot's vertex.  ``miss[s]`` counts b's survivors that u is not
-    adjacent to, so u is forbidden exactly when one of its slots reads 0
-    (the support counter of AC-4, Mohr and Henderson, 1986, counted from
-    the other side).  ``hit[w]`` lists the slots that w is a non-neighbour
-    in, built at w's first marking; a marking moves only those (see
-    :meth:`_mark`).  The search queues only vertices proved forbidden: the
-    owners of slots that read 0 at the root, then of each slot a marking
+    The r = 2 search (``record=False``) keeps one table instead, built once
+    per instance by :func:`_search_index`, each engine copying only ``miss``.
+    It has one slot per vertex u and block b other than u's where u has a
+    neighbour; the slots into b run from ``first_slot[b]`` to
+    ``first_slot[b + 1]``, and ``owner[s]`` is the slot's vertex.
+    ``miss[s]`` counts b's survivors that u is not adjacent to, so u is
+    forbidden exactly when one of its slots reads 0 (the support counter of
+    AC-4, Mohr and Henderson, 1986, counted from the other side).
+    ``hit[w]`` lists the slots that w is a non-neighbour in, built at w's
+    first marking by any search of the instance; a marking moves only those
+    (see :meth:`_mark`).  The search queues only vertices proved forbidden:
+    the owners of slots that read 0 at the root, then of each slot a marking
     brings to 0.  It marks each one it pops without a re-check, as on an
     event that proves a constraint fires (propagate-on-change, Mackworth's
     AC-3, 1977); a vertex queued twice is skipped as forbidden.  The basic
@@ -170,22 +201,10 @@ class _Propagation:
         self.queued = bytearray(b"\x01") * n
         self.queue: deque[int] = deque(range(n))
         if r == 2 and not record:
-            self.adj = adj = inst.adjacency()
-            self.miss: list[int] = []
-            self.owner: list[int] = []
-            self.first_slot = [0]
-            met: Counter[int] = Counter()
-            for blk in inst.blocks:
-                met.clear()
-                met.update(itertools.chain.from_iterable(map(adj.__getitem__, blk.members)))
-                for w in blk.members:
-                    met.pop(w, None)
-                self.owner += met
-                self.miss += [blk.size - c for c in met.values()]
-                self.first_slot.append(len(self.owner))
-            self.hit: list[list[int] | None] = [None] * n
-            # the root queue: the owners of slots with miss 0
-            self.queue = deque(u for u, m in zip(self.owner, self.miss) if m == 0)
+            self.adj = inst.adjacency()
+            self.owner, self.first_slot, miss, seed, self.hit = _search_index(inst)
+            self.miss = list(miss)
+            self.queue = deque(seed)
         elif r == 2:
             # for each block, the vertices whose witness rule reads it, in id order
             self.touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
@@ -258,7 +277,7 @@ class _Propagation:
             # is the certificate.
             miss, owner = self.miss, self.owner
             hit = self.hit[v]
-            if hit is None:  # built at v's first marking
+            if hit is None:  # built at v's first marking, kept with the instance
                 near = set(self.adj[v])
                 slots = range(self.first_slot[bv], self.first_slot[bv + 1])
                 hit = self.hit[v] = [s for s in slots if owner[s] not in near]
@@ -521,7 +540,12 @@ class _Propagation:
 
 def propagate_certificate(instance: PartitionedInstance) -> Certificate | None:
     """Run the forbidden/forced fixpoint; a Certificate proves there is no
-    independent transversal, None means the propagation is inconclusive."""
+    independent transversal, None means the propagation is inconclusive.
+    An empty (padding) block needs no step: the certificate then concludes
+    at the lowest-id one."""
+    for blk in instance.blocks:
+        if not blk.members:
+            return Certificate(steps=(), conclusion=blk.id)
     prop = _Propagation(instance, record=True)
     while True:
         emptied = prop.run_basic()

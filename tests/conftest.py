@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
@@ -79,6 +80,22 @@ def planted_join_instance(rng, r):
         if len({u // t for u in e}) == r:
             edges.add(tuple(sorted(e)))
     return make_instance(r, blocks, sorted(edges))
+
+
+@st.composite
+def small_hypergraphs(draw):
+    """r in {2, 3, 4}, r to r + 2 blocks of one to three vertices, and up to
+    40 edges: mostly one vertex from each of r distinct blocks, the others
+    any r vertices, which may repeat a block."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r + 2))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+    stretched = st.lists(st.sampled_from(range(len(blocks))), min_size=r, max_size=r, unique=True)
+    stretched = stretched.flatmap(lambda bs: st.tuples(*(st.sampled_from(blocks[b]) for b in bs)))
+    loose = st.sets(st.integers(0, starts[-1] - 1), min_size=r, max_size=r)
+    edge = st.one_of(stretched, stretched, loose).map(lambda e: tuple(sorted(e)))
+    return make_instance(r, blocks, draw(st.lists(edge, max_size=40, unique=True)))
 
 
 @pytest.fixture

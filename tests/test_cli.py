@@ -6,12 +6,15 @@ from pathlib import Path
 import pytest
 
 from transversals import (
+    Block,
     BuildRecipe,
     BuildSizeError,
+    PartitionedInstance,
     build,
     check_certificate,
     read_certificate,
     read_instance,
+    write_instance,
 )
 from transversals.cli import main
 
@@ -183,6 +186,19 @@ class TestCertify:
         code, _, err = run(capsys, "certify", str(out), "--expect-none")
         assert code == 0
         assert "confirms" in err
+
+
+    def test_empty_block_certifies_in_zero_steps(self, tmp_path, capsys):
+        inst = PartitionedInstance(
+            2, [Block(0, (0, 1)), Block(1, (2,)), Block(2, (), padding=True)], [(0, 2)]
+        )
+        write_instance(inst, tmp_path / "empty.json")
+        cert = tmp_path / "empty.cert.json"
+        code, _, err = run(capsys, "certify", str(tmp_path / "empty.json"), "--out", str(cert))
+        assert code == 0
+        assert "certificate with 0 steps, emptied block 2" in err
+        code, stdout, _ = run(capsys, "verify", str(tmp_path / "empty.json"), str(cert))
+        assert (code, stdout) == (0, '{"conclusion": 2, "steps": 0, "valid": true}\n')
 
 
 class TestVerify:

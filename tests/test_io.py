@@ -5,11 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import make_instance
+from conftest import make_instance, small_hypergraphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transversals import (
+    HEAVY,
+    LIGHT,
+    Block,
     Certificate,
     ForbiddenStep,
     ForbiddenViaForcedStep,
@@ -17,6 +20,7 @@ from transversals import (
     GradeSequence,
     JoinForcedStep,
     ParseError,
+    PartitionedInstance,
     build_bounded_degree,
     build_forest,
     build_hypergraph,
@@ -122,6 +126,32 @@ class TestInstanceRoundTrip:
         path = tmp_path / "stars.json"
         write_instance(inst, path)
         assert read_instance(path) == inst
+
+
+@st.composite
+def decorated_instances(draw):
+    """A small hypergraph with drawn block grades and padding flags, vertex
+    roles, string meta, and perhaps an empty padding block at the end."""
+    inst = draw(small_hypergraphs())
+    blocks = [
+        Block(b.id, b.members, draw(st.none() | st.integers(1, 10**6)), draw(st.booleans()))
+        for b in inst.blocks
+    ]
+    if draw(st.booleans()):
+        blocks.append(Block(len(blocks), (), draw(st.none() | st.integers(1, 9)), True))
+    roles = draw(st.lists(st.sampled_from([None, HEAVY, LIGHT]),
+                          min_size=inst.num_vertices, max_size=inst.num_vertices))
+    meta = draw(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=4))
+    return PartitionedInstance(inst.r, blocks, inst.edges, roles=roles, meta=meta)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(decorated_instances())
+def test_decorated_instances_round_trip_byte_for_byte(inst):
+    data = serialize_instance(inst)
+    back = parse_instance(data)
+    assert back == inst
+    assert serialize_instance(back) == data
 
 
 class TestParseErrors:
@@ -336,15 +366,15 @@ class TestDeclaredT:
 
 
 # Every value position of an instance file: its path in the golden forest
-# t=3 and the location the model names for a bad value there.  Roles and
-# meta are checked as wholes, with no location.
+# t=3 and the location the model names for a bad value there.  The
+# uniformity and meta are checked as wholes, with no location.
 VALUE_POSITIONS = {
     "r": (("r",), None),
     "block-id": (("blocks", 1, "id"), "block 1"),
     "vertex-id": (("blocks", 1, "vertices", 1, "id"), "block 1"),
     "grade": (("blocks", 1, "grade"), "block 1"),
     "padding": (("blocks", 1, "padding"), "block 1"),
-    "role": (("blocks", 1, "vertices", 1, "role"), None),
+    "role": (("blocks", 1, "vertices", 1, "role"), "block 1"),
     "edge-entry": (("edges", 1, 0), "edge 1"),
     "meta-value": (("meta", "t"), None),
 }

@@ -3,7 +3,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
-from conftest import make_instance
+from conftest import make_instance, small_hypergraphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,8 +71,9 @@ def test_violations_name_their_location():
         make_instance(2, [[0, 1]], [], roles=["heavy"])
     assert err.value.location is None
     assert str(err.value) == "roles must cover every vertex"
-    with pytest.raises(InstanceError, match="unknown role 'medium'"):
-        make_instance(2, [[0, 1]], [], roles=["heavy", "medium"])
+    with pytest.raises(InstanceError) as err:
+        make_instance(2, [[0], [1, 2]], [], roles=["heavy", None, "medium"])
+    assert str(err.value) == "unknown role 'medium' (at block 1)"
 
 
 def test_sorted_tuple_edges_are_kept_and_others_copied_sorted():
@@ -266,6 +267,14 @@ def test_metrics_invariant_under_relabeling(rng):
     assert a.local_degree == b.local_degree
     assert a.thickness == b.thickness
     assert sorted(a.per_block_degree.values()) == sorted(b.per_block_degree.values())
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(small_hypergraphs(), st.data())
+def test_metrics_are_invariant_under_a_drawn_relabeling(inst, data):
+    # relabel keeps block ids, so even the per-block degrees match exactly
+    perm = data.draw(st.permutations(range(inst.num_vertices)))
+    assert compute_metrics(relabel(inst, perm)) == compute_metrics(inst)
 
 
 def test_vertex_info_roles_and_grades():

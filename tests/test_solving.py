@@ -16,6 +16,7 @@ from conftest import (
     planted_join_instance,
     random_block_capped_instance,
     random_capped_degree_instance,
+    small_hypergraphs,
 )
 
 from transversals import (
@@ -49,7 +50,7 @@ from transversals import (
     serialize_certificate,
     simple_sequence,
 )
-from transversals.solving import _Propagation
+from transversals.solving import _Propagation, _search_index
 
 
 def seq_of(t, values):
@@ -186,6 +187,19 @@ class TestPropagateCertificate:
         inst = pad_blocks(build_forest(3, seq_of(3, [0, 3])), 10)
         cert = propagate_certificate(inst)
         assert cert is not None
+        assert check_certificate(inst, cert)
+
+    def test_empty_block_gives_a_zero_step_certificate(self):
+        # no transversal meets an empty padding block; the certificate
+        # concludes at the lowest-id one without a step
+        blocks = [Block(0, (0, 1)), Block(1, (2,))]
+        blocks += [Block(2, (), padding=True), Block(3, (), padding=True)]
+        inst = PartitionedInstance(2, blocks, [(0, 2)])
+        report = find_transversal(inst)
+        assert (report.outcome, report.nodes_explored) == ("none_exhaustive", 1)
+        assert count_transversals(inst).count == 0
+        cert = propagate_certificate(inst)
+        assert cert == Certificate(steps=(), conclusion=2)
         assert check_certificate(inst, cert)
 
 
@@ -358,7 +372,15 @@ class TestPropagationState:
             marked = witness_state(first)
             second = _Propagation(inst, record=False)
             if r == 2:
+                # one index, built by the first engine; only miss is copied
+                index = inst._witness
+                assert _search_index(inst) is index
                 assert second.adj is first.adj and second.miss is not first.miss
+                assert second.miss is not index[2]
+                assert second.owner is first.owner is index[0]
+                assert second.first_slot is first.first_slot is index[1]
+                assert second.hit is first.hit is index[4]
+                assert list(second.queue) == list(index[3])
             else:
                 assert second.slot_of is first.slot_of and second.edge_slots is first.edge_slots
             assert witness_state(second) == witness_recount(second, inst)
@@ -401,22 +423,6 @@ def assert_search_fixpoints_match_a_full_recheck(inst, rng, branches=8):
             assert search.forbidden == recheck.forbidden
         else:
             search.undo(mark)
-
-
-@st.composite
-def small_hypergraphs(draw):
-    """r in {2, 3, 4}, r to r + 2 blocks of one to three vertices, and up to
-    40 edges: mostly one vertex from each of r distinct blocks, the others
-    any r vertices, which may repeat a block."""
-    r = draw(st.sampled_from([2, 3, 4]))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r + 2))
-    starts = list(itertools.accumulate(sizes, initial=0))
-    blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
-    stretched = st.lists(st.sampled_from(range(len(blocks))), min_size=r, max_size=r, unique=True)
-    stretched = stretched.flatmap(lambda bs: st.tuples(*(st.sampled_from(blocks[b]) for b in bs)))
-    loose = st.sets(st.integers(0, starts[-1] - 1), min_size=r, max_size=r)
-    edge = st.one_of(stretched, stretched, loose).map(lambda e: tuple(sorted(e)))
-    return make_instance(r, blocks, draw(st.lists(edge, max_size=40, unique=True)))
 
 
 def forced_set_hits_from_the_edges(prop, forced):
@@ -932,10 +938,11 @@ class TestFindTransversal:
         rng = random.Random(20261018)
         for outcome, nodes, chosen in self.R2_PINNED:
             inst = random_capped_degree_instance(3, 20, rng, cap=6)
-            report = find_transversal(inst, max_nodes=nodes + 1)
-            assert (report.outcome, report.nodes_explored) == (outcome, nodes)
-            if chosen is not None:
-                assert report.assignment == dict(enumerate(chosen))
+            for _ in range(2):  # the second search reads the index the first built
+                report = find_transversal(inst, max_nodes=nodes + 1)
+                assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+                if chosen is not None:
+                    assert report.assignment == dict(enumerate(chosen))
 
     # (seed, outcome, nodes_explored, chosen vertex per block) on
     # unequal_blocks_instance(random.Random(seed)), as found by the search
@@ -975,10 +982,31 @@ class TestFindTransversal:
         for seed, outcome, nodes, chosen in self.UNEQUAL_R2_PINNED:
             inst = unequal_blocks_instance(random.Random(seed))
             assert inst.blocks[-1].padding
-            report = find_transversal(inst, max_nodes=nodes + 1)
-            assert (report.outcome, report.nodes_explored) == (outcome, nodes)
-            if chosen is not None:
-                assert report.assignment == dict(enumerate(chosen))
+            for _ in range(2):  # the second search reads the index the first built
+                report = find_transversal(inst, max_nodes=nodes + 1)
+                assert (report.outcome, report.nodes_explored) == (outcome, nodes)
+                if chosen is not None:
+                    assert report.assignment == dict(enumerate(chosen))
+
+    def test_search_cut_short_leaves_a_later_search_unchanged(self):
+        # a budget stops a search mid-branch, with hit rows filled for only
+        # the vertices it marked; a full search of the same instance must
+        # then match one of a fresh copy, whose index is built anew
+        rng = random.Random(20261030)
+        for i in range(12):
+            if i % 2:
+                inst = unequal_blocks_instance(rng)
+            else:
+                inst = random_capped_degree_instance(3, rng.randrange(10, 30), rng, cap=6)
+            fresh = PartitionedInstance(inst.r, inst.blocks, inst.edges, roles=inst.roles)
+            expected = find_transversal(fresh)
+            cut = find_transversal(inst, max_nodes=rng.randrange(1, expected.nodes_explored + 1))
+            assert cut.outcome == ("aborted" if cut.nodes_explored < expected.nodes_explored
+                                   else expected.outcome)
+            report = find_transversal(inst)
+            assert (report.outcome, report.nodes_explored, report.assignment) == (
+                expected.outcome, expected.nodes_explored, expected.assignment,
+            )
 
     @pytest.mark.parametrize(
         "num_edges, outcome, nodes, chosen",
@@ -1280,6 +1308,8 @@ class TestCountTransversals:
         used = set(names(solving.count_transversals.__code__))
         assert "_Propagation" in own
         assert used & own <= {"TransversalReport"}
+        # nor the engines' index kept with the instance
+        assert "_witness" not in used
         assert "_Propagation" not in inspect.getsource(solving.count_transversals)
 
     def test_count_ignores_uncompletable_edges(self):
