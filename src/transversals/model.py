@@ -181,11 +181,17 @@ class PartitionedInstance:
         return self._block_of[v]
 
     def block(self, b: int) -> Block:
-        if not 0 <= b < len(self.blocks):
-            raise UnknownBlockError(f"no block with id {b}")
+        """The block with id b; an id that is not an ``int`` in range (a bool
+        included) raises ``UnknownBlockError``."""
+        if type(b) is not int or not 0 <= b < len(self.blocks):
+            raise UnknownBlockError(f"no block with id {b!r}")
         return self.blocks[b]
 
     def vertex_info(self, v: int) -> VertexInfo:
+        """Vertex v's block, grade and role; an id that is not an ``int`` in
+        ``range(num_vertices)`` (a bool included) raises ``IndexError``."""
+        if type(v) is not int or not 0 <= v < self.num_vertices:
+            raise IndexError(f"no vertex with id {v!r}")
         b = self.blocks[self._block_of[v]]
         return VertexInfo(block=b.id, grade=b.grade, role=self.roles[v])
 

@@ -158,7 +158,8 @@ def simple_sequence(t: int) -> GradeSequence:
     """The unit-step sequence 0, 1, ..., t.
 
     The stored epsilon is the smallest value for which the defining
-    inequality holds; it tends to 0 like 2/t.
+    inequality holds: exactly 1/t at even t and 1/t - 1/(4t^2) at odd t,
+    since the step j(t - j) peaks at t^2/4, or (t^2 - 1)/4 at odd t.
     """
     if t < 2:
         raise ParameterError(f"t must be at least 2, got {t}")

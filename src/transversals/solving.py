@@ -1,6 +1,7 @@
 """Decide and certify the existence of independent transversals.
 
-Two independent engines:
+Two engines share one marking core (forbidden flags, survivor counts, the
+emptied block and a trail that the search rewinds):
 
 * :func:`propagate_certificate` runs a polynomial forbidden/forced fixpoint.
   A vertex is forbidden when it is completely joined to the survivor tuples
@@ -11,16 +12,19 @@ Two independent engines:
   built once per instance, each engine copying only the counts), kept up to
   date as vertices are forbidden, so the join phase never rescans the edges
   (residual support counting, Lecoutre and Hemery, IJCAI 2007).  An emptied
-  block ends the ordered log, a :class:`Certificate` for ``certificate`` to replay.
-  The r = 2 search counts from the other side: per vertex and other block,
-  the block's survivors that the vertex is not adjacent to, in slots also
-  built once per instance, each search copying only the counts.
+  block ends the ordered log, a :class:`Certificate` for ``certificate`` to
+  replay.  The same re-checking fixpoint, without steps, prunes the r >= 3
+  search.
 
 * :func:`find_transversal` is exact backtracking (fewest-survivors block
-  first) pruned by the same propagation; :func:`count_transversals` is a
-  deliberately separate exhaustive counter that prunes only by forward
-  checking, so counts can serve as an independent ground truth for the
-  certifier and the stronger solver.
+  first) pruned by the witness rule's fixpoint.  On graphs it runs its own
+  engine, which counts from the other side: per vertex and other block,
+  the block's survivors that the vertex is not adjacent to, in slots built
+  once per instance, each search copying only the counts.  It marks what
+  those counts prove forbidden without re-checking it.
+  :func:`count_transversals` is a deliberately separate exhaustive counter
+  that prunes only by forward checking, so counts can serve as an
+  independent ground truth for the certifier and the stronger solver.
 """
 
 from __future__ import annotations
@@ -148,64 +152,159 @@ def _search_index(inst: PartitionedInstance) -> tuple:
     return inst._witness
 
 
-class _Propagation:
-    """Shared fixpoint machinery for certification and solver pruning.
+class _Marks:
+    """The marking core of both engines: the forbidden flags, each block's
+    survivor count, the first block to empty and the trail.
 
-    Every vertex marked forbidden is pushed on ``trail``, and :meth:`undo`
-    rewinds the counters to an earlier trail length.  The exact search keeps
+    Every vertex marked forbidden is pushed on ``trail``, and an engine's
+    ``undo`` rewinds to an earlier trail length.  The exact search keeps
     one state this way instead of rebuilding it at every node (trailing, as
     in Schulte, *Comparing Trailing and Copying for Constraint Programming*,
-    ICLP 1999).
+    ICLP 1999).  Each engine adds its own counters and queue: its ``_mark``
+    calls :meth:`_forbid` and moves them, its ``undo`` calls
+    :meth:`_unforbid` and moves them back.
+    """
 
-    Certification (``record=True``) and every r >= 3 engine queue every
-    vertex, re-queue the touchers of each block that loses a survivor, and
-    check each vertex they pop, in FIFO order: the certificate's steps are
-    that order.  The certifier's r = 2 counts are dicts, ``count[u][b]``
-    being u's surviving neighbours in block b.
+    def __init__(self, inst: PartitionedInstance):
+        self.inst = inst
+        self.block_of = inst._block_of
+        self.forbidden = bytearray(inst.num_vertices)
+        self.surv_count = [b.size for b in inst.blocks]
+        self.emptied: int | None = None
+        self.trail: list[int] = []
 
-    The r = 2 search (``record=False``) keeps one table instead, built once
-    per instance by :func:`_search_index`, each engine copying only ``miss``.
-    It has one slot per vertex u and block b other than u's where u has a
-    neighbour; the slots into b run from ``first_slot[b]`` to
-    ``first_slot[b + 1]``, and ``owner[s]`` is the slot's vertex.
-    ``miss[s]`` counts b's survivors that u is not adjacent to, so u is
-    forbidden exactly when one of its slots reads 0 (the support counter of
-    AC-4, Mohr and Henderson, 1986, counted from the other side).
+    def _survivors(self, b: int) -> tuple[int, ...]:
+        return tuple(
+            v for v in self.inst.blocks[b].members if not self.forbidden[v]
+        )
+
+    def _forbid(self, v: int) -> int:
+        """Mark v, not yet forbidden, forbidden and return its block."""
+        self.forbidden[v] = 1
+        self.trail.append(v)
+        bv = self.block_of[v]
+        left = self.surv_count[bv] - 1
+        self.surv_count[bv] = left
+        if left == 0 and self.emptied is None:
+            self.emptied = bv
+        return bv
+
+    def _unforbid(self, mark: int) -> list[int]:
+        """Lift every marking after the first ``mark`` trail entries and
+        return those vertices, whose counts the engine then restores.
+
+        The state at ``mark`` must have been a fixpoint with no emptied
+        block, which is where the search branches.
+        """
+        revived = self.trail[mark:]
+        del self.trail[mark:]
+        forbidden, block_of, surv_count = self.forbidden, self.block_of, self.surv_count
+        for v in revived:
+            forbidden[v] = 0
+            surv_count[block_of[v]] += 1
+        self.emptied = None
+        return revived
+
+
+class _GraphSearch(_Marks):
+    """The r = 2 search's pruning: the witness rule's fixpoint, reached
+    without re-checks and without steps.
+
+    Its table is built once per instance by :func:`_search_index`, each
+    engine copying only ``miss``.  It has one slot per vertex u and block b
+    other than u's where u has a neighbour; the slots into b run from
+    ``first_slot[b]`` to ``first_slot[b + 1]``, and ``owner[s]`` is the
+    slot's vertex.  ``miss[s]`` counts b's survivors that u is not adjacent
+    to, so u is forbidden exactly when one of its slots reads 0 (the support
+    counter of AC-4, Mohr and Henderson, 1986, counted from the other side).
     ``hit[w]`` lists the slots that w is a non-neighbour in, built at w's
     first marking by any search of the instance; a marking moves only those
-    (see :meth:`_mark`).  The search queues only vertices proved forbidden:
+    (see :meth:`_mark`).  The queue holds only vertices proved forbidden:
     the owners of slots that read 0 at the root, then of each slot a marking
-    brings to 0.  It marks each one it pops without a re-check, as on an
-    event that proves a constraint fires (propagate-on-change, Mackworth's
-    AC-3, 1977); a vertex queued twice is skipped as forbidden.  The basic
-    rule's fixpoint is unique, so the outcomes, the assignments and the
-    node counts are those of the re-checking order.
+    brings to 0.  :meth:`run_basic` marks each one it pops without a
+    re-check, as on an event that proves a constraint fires
+    (propagate-on-change, Mackworth's AC-3, 1977); a vertex queued twice is
+    skipped as forbidden.  The basic rule's fixpoint is unique, so the
+    outcomes, the assignments and the node counts are those of the
+    re-checking order.
+    """
+
+    def __init__(self, inst: PartitionedInstance):
+        super().__init__(inst)
+        self.adj = inst.adjacency()
+        self.owner, self.first_slot, miss, seed, self.hit = _search_index(inst)
+        self.miss = list(miss)
+        self.queue: deque[int] = deque(seed)
+
+    def _mark(self, v: int) -> None:
+        """Mark v forbidden and queue the owners of the slots in ``hit[v]``
+        that reach miss 0.
+
+        Only v's block bv lost a survivor.  A neighbour u of v keeps the
+        miss of its slot into bv, since bv's survivors and u's neighbours
+        among them both fall by one, so only the slots in ``hit[v]`` move.
+        A slot at miss 0 has its owner joined to all of bv's survivors.
+        Forbidding another survivor keeps it at 0, so the owner stays
+        forbiddable until it is marked or bv empties, and an emptied block
+        ends the fixpoint: queued means proved forbidden.
+        """
+        forbidden = self.forbidden
+        if forbidden[v]:
+            return
+        bv = self._forbid(v)
+        miss, owner, queue = self.miss, self.owner, self.queue
+        hit = self.hit[v]
+        if hit is None:  # built at v's first marking, kept with the instance
+            near = set(self.adj[v])
+            slots = range(self.first_slot[bv], self.first_slot[bv + 1])
+            hit = self.hit[v] = [s for s in slots if owner[s] not in near]
+        for s in hit:
+            miss[s] -= 1
+            if not miss[s] and not forbidden[owner[s]]:
+                queue.append(owner[s])
+
+    def undo(self, mark: int) -> None:
+        """Rewind every marking after the first ``mark`` trail entries and
+        empty the queue."""
+        miss, hit = self.miss, self.hit
+        for v in self._unforbid(mark):
+            for s in hit[v]:
+                miss[s] += 1
+        self.queue.clear()
+
+    def run_basic(self) -> int | None:
+        """Fixpoint of the witness-block rule; returns the emptied block."""
+        queue, mark = self.queue, self._mark
+        while queue and self.emptied is None:
+            mark(queue.popleft())
+        return self.emptied
+
+
+class _Propagation(_Marks):
+    """The re-checking fixpoint: it certifies at every r (``record=True``)
+    and prunes the r >= 3 search (``record=False``).
+
+    It queues every vertex at the root, re-queues the touchers of each
+    block that loses a survivor, and checks each vertex it pops, in FIFO
+    order: the certificate's steps are that order.  The r = 2 counts are
+    dicts, ``count[u][b]`` being u's surviving neighbours in block b; the
+    r >= 3 counts are the slots of :func:`_witness_index`, each engine
+    copying only ``live``.
     """
 
     def __init__(self, inst: PartitionedInstance, record: bool):
-        self.inst = inst
+        super().__init__(inst)
         self.r = r = inst.r
-        self.block_of = block_of = inst._block_of
         n = inst.num_vertices
-        self.forbidden = bytearray(n)
-        self.surv_count = [b.size for b in inst.blocks]
         self.record = record
         self.steps: list[Step] = []
         self.emitted: dict[int, tuple[int, ...]] = {}
-        self.emptied: int | None = None
-        self.trail: list[int] = []
         self._tuples: list[tuple[int, ...]] | None = None
-
-        # Every engine but the r = 2 search queues every vertex at the root,
-        # and ``queued`` keeps a vertex from being queued twice.
+        # ``queued`` keeps a vertex from being queued twice
         self.queued = bytearray(b"\x01") * n
         self.queue: deque[int] = deque(range(n))
-        if r == 2 and not record:
-            self.adj = inst.adjacency()
-            self.owner, self.first_slot, miss, seed, self.hit = _search_index(inst)
-            self.miss = list(miss)
-            self.queue = deque(seed)
-        elif r == 2:
+        if r == 2:
+            block_of = self.block_of
             # for each block, the vertices whose witness rule reads it, in id order
             self.touchers: list[list[int]] = [[] for _ in range(inst.num_blocks)]
             self.adj = adj = inst.adjacency()
@@ -228,71 +327,32 @@ class _Propagation:
 
     # .. helpers ..
 
-    def _survivors(self, b: int) -> tuple[int, ...]:
-        return tuple(
-            v for v in self.inst.blocks[b].members if not self.forbidden[v]
-        )
-
     def _emit_forced(self, b: int) -> None:
         surv = self._survivors(b)
         if self.emitted.get(b) != surv:
             self.emitted[b] = surv
             self.steps.append(ForcedSetStep(block=b, survivors=surv))
 
-    def _mark(self, v: int, step: Step | None) -> None:
-        """Mark v forbidden, update the counters and queue the vertices whose
-        rule may now fire: for the r = 2 search, the owners of the slots in
-        ``hit[v]`` that reach miss 0; for every other engine, the touchers
-        of v's block."""
+    def _mark(self, v: int, step: Step | None = None) -> None:
+        """Mark v forbidden, record ``step`` (given only when certifying),
+        update the counts and queue the touchers of v's block."""
         forbidden = self.forbidden
         if forbidden[v]:
             return
-        if step is not None and self.record:
+        if step is not None:
             if isinstance(step, ForbiddenStep):
                 for b in step.witnesses:
                     self._emit_forced(b)
             self.steps.append(step)
-        forbidden[v] = 1
-        self.trail.append(v)
-        block_of = self.block_of
-        bv = block_of[v]
-        left = self.surv_count[bv] - 1
-        self.surv_count[bv] = left
-        if left == 0 and self.emptied is None:
-            self.emptied = bv
-
-        queue, queued = self.queue, self.queued
-        if self.r == 2 and not self.record:
-            # The search's rule: queued means provably forbidden.  Only bv
-            # lost a survivor.  A neighbour u of v keeps the miss of its
-            # slot into bv, since bv's survivors and u's neighbours among
-            # them both fall by one, so only the slots in hit[v] move.  A
-            # slot at miss 0 has its owner joined to all of bv's survivors.
-            # Forbidding another survivor keeps it at 0, so the owner stays
-            # forbiddable until it is marked or bv empties, and an emptied
-            # block ends the fixpoint.  run_basic therefore marks it without
-            # a re-check.  The basic rule's fixpoint is unique, so the order
-            # does not move it, nor the search's nodes.  Certification
-            # re-checks every toucher in FIFO order, because its step order
-            # is the certificate.
-            miss, owner = self.miss, self.owner
-            hit = self.hit[v]
-            if hit is None:  # built at v's first marking, kept with the instance
-                near = set(self.adj[v])
-                slots = range(self.first_slot[bv], self.first_slot[bv + 1])
-                hit = self.hit[v] = [s for s in slots if owner[s] not in near]
-            for s in hit:
-                miss[s] -= 1
-                if not miss[s] and not forbidden[owner[s]]:
-                    queue.append(owner[s])
-            return
+        bv = self._forbid(v)
         if self.r == 2:
-            count = self.count
+            count, block_of = self.count, self.block_of
             for u in self.adj[v]:
                 if block_of[u] != bv:
                     count[u][bv] -= 1
         else:
             self._recount(v, -1)
+        queue, queued = self.queue, self.queued
         for u in self.touchers[bv]:
             if not forbidden[u] and not queued[u]:
                 queued[u] = 1
@@ -319,31 +379,13 @@ class _Propagation:
 
     def undo(self, mark: int) -> None:
         """Rewind every marking after the first ``mark`` trail entries and
-        empty the queue.
-
-        The state at ``mark`` must have been a fixpoint with no emptied
-        block, which is where the search branches.  Only the search undoes:
-        recorded steps and a certifier's r = 2 ``count`` dicts are not
-        rewound.
-        """
-        trail = self.trail
-        forbidden = self.forbidden
-        block_of = self.block_of
-        surv_count = self.surv_count
-        miss, hit = (self.miss, self.hit) if self.r == 2 else (None, None)
-        for v in trail[mark:]:
-            forbidden[v] = 0
-            surv_count[block_of[v]] += 1
-            if hit is None:
-                self._recount(v, 1)
-                continue
-            for s in hit[v]:
-                miss[s] += 1
-        del trail[mark:]
+        empty the queue.  Only the r >= 3 search undoes: recorded steps and
+        the certifier's r = 2 ``count`` dicts are not rewound."""
+        for v in self._unforbid(mark):
+            self._recount(v, 1)
         for v in self.queue:
             self.queued[v] = 0
         self.queue.clear()
-        self.emptied = None
 
     def _find_witness(self, v: int) -> tuple[int, ...] | None:
         surv_count = self.surv_count
@@ -362,22 +404,13 @@ class _Propagation:
         return None
 
     def run_basic(self) -> int | None:
-        """Fixpoint of the witness-block rule; returns the emptied block.
-
-        The r = 2 search marks each vertex it pops, since its queue holds
-        only vertices proved forbidden (``_mark`` skips one queued twice);
-        every other engine checks it first.
-        """
+        """Fixpoint of the witness-block rule; returns the emptied block."""
         queue, queued, forbidden = self.queue, self.queued, self.forbidden
-        recheck = self.record or self.r > 2
-        mark = self._mark
         while queue and self.emptied is None:
             v = queue.popleft()
             queued[v] = 0
-            if not recheck:
-                mark(v, None)
-            elif not forbidden[v] and (wit := self._find_witness(v)) is not None:
-                mark(v, ForbiddenStep(vertex=v, witnesses=wit) if self.record else None)
+            if not forbidden[v] and (wit := self._find_witness(v)) is not None:
+                self._mark(v, ForbiddenStep(vertex=v, witnesses=wit) if self.record else None)
         return self.emptied
 
     # .. complete-join phase ..
@@ -577,7 +610,7 @@ def find_transversal(
     """
     _refuse_bad_budget("max_nodes", max_nodes)
     start = time.perf_counter()
-    prop = _Propagation(instance, record=False)
+    prop = _GraphSearch(instance) if instance.r == 2 else _Propagation(instance, record=False)
     surv_count = prop.surv_count
     members = [b.members for b in instance.blocks]
 
@@ -587,7 +620,7 @@ def find_transversal(
             prop.undo(mark)
             for u in members[pick]:
                 if u != v:
-                    prop._mark(u, None)
+                    prop._mark(u)
             yield True
         prop.undo(mark)
 
@@ -768,8 +801,11 @@ def check_ww_bound(instance: PartitionedInstance, max_nodes: int | None = None) 
     """Compare the exact transversal count against the guarantee
     ((r-1) t / r)^n, where t is the thickness and n the number of blocks.
 
-    The hypothesis asks every block to meet at most c_r t^(r-1) |B| stretched
-    edges (t|B|/4 for graphs).  A ``bound_violated`` outcome is a genuine
+    The hypothesis asks every block to have at least t vertices and to meet
+    at most c_r t^(r-1) |B| stretched edges (t|B|/4 for graphs); the report
+    names the lowest block that fails it.  A padding block smaller than a
+    declared ``meta["t"]`` is left out of the thickness, so it fails the
+    hypothesis here.  A ``bound_violated`` outcome is therefore a genuine
     counterexample to the guarantee and should never occur.  The count is
     exponential: ``max_nodes`` (at least 0) bounds its search as in
     :func:`count_transversals`, and a count that would explore more nodes
@@ -781,7 +817,7 @@ def check_ww_bound(instance: PartitionedInstance, max_nodes: int | None = None) 
     c_r = threshold_constant(r)
     degrees = _all_block_degrees(instance)[0]
     for blk in instance.blocks:
-        if Fraction(degrees[blk.id]) > c_r * t ** (r - 1) * blk.size:
+        if blk.size < t or Fraction(degrees[blk.id]) > c_r * t ** (r - 1) * blk.size:
             return WWReport(status="hypothesis_not_met", failing_block=blk.id)
     report = count_transversals(instance, max_nodes=max_nodes)
     if report.count is None:

@@ -110,9 +110,20 @@ def test_block_degree_counts_crossing_edges_only():
 
 
 def test_block_degree_unknown_block():
-    inst = make_instance(2, [[0, 1]], [])
-    with pytest.raises(UnknownBlockError):
-        block_degree(inst, 7)
+    # a bool is refused as an id, as everywhere else in the model
+    inst = make_instance(2, [[0, 1], [2, 3]], [])
+    for b in (7, -1, "a", None, 1.0, True):
+        with pytest.raises(UnknownBlockError, match=f"no block with id {b!r}$"):
+            inst.block(b)
+        with pytest.raises(UnknownBlockError, match=f"no block with id {b!r}$"):
+            block_degree(inst, b)
+
+
+@pytest.mark.parametrize("v", [4, -1, "a", None, 1.0, True])
+def test_vertex_info_unknown_vertex(v):
+    inst = make_instance(2, [[0, 1], [2, 3]], [])
+    with pytest.raises(IndexError, match=f"no vertex with id {v!r}$"):
+        inst.vertex_info(v)
 
 
 def test_block_degree_star_center_block():

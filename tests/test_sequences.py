@@ -79,8 +79,12 @@ class TestSimpleSequence:
         assert simple_sequence(6).values == tuple(range(7))
 
     def test_minimal_epsilon_t6(self):
-        # max of (j(7-j) + 6-j)/6 over j is 15/6 at j=3, minus t/4
+        # max of (j(7-j) + 6-j)/6 over j is 15/6 at j=3, minus t/4, over t;
+        # at any t the step's max is j(t-j)/t + 1, peaking at j = t/2
         assert simple_sequence(6).epsilon == Fraction(1, 6)
+        for t in range(2, 200):
+            odd = Fraction(1, 4 * t * t) if t % 2 else 0
+            assert simple_sequence(t).epsilon == Fraction(1, t) - odd, t
 
     def test_validates_with_its_own_epsilon(self):
         for t in (2, 6, 17, 100):

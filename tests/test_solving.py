@@ -50,7 +50,7 @@ from transversals import (
     serialize_certificate,
     simple_sequence,
 )
-from transversals.solving import _Propagation, _search_index
+from transversals.solving import _GraphSearch, _Propagation, _search_index
 
 
 def seq_of(t, values):
@@ -271,19 +271,24 @@ class TestPinnedCertificates:
         assert {"JoinForcedStep", "ForbiddenViaForcedStep"} <= fired
 
 
+def search_engine(inst):
+    """The engine that ``find_transversal`` prunes with at inst's arity."""
+    return _GraphSearch(inst) if inst.r == 2 else _Propagation(inst, record=False)
+
+
 def witness_state(prop):
-    """A copy of the engine's witness counters.  For r = 2 that is the
-    search's ``miss`` table as sorted ((owner, block), miss) pairs, or the
-    certifier's ``count`` dicts; for r >= 3, ``live`` and ``edge_dead``."""
-    if prop.r == 2 and prop.record:
-        return [dict(c) for c in prop.count]
-    if prop.r == 2:
+    """A copy of the engine's witness counters: the r = 2 search's ``miss``
+    table as sorted ((owner, block), miss) pairs, the r = 2 fixpoint's
+    ``count`` dicts, or the r >= 3 fixpoint's ``live`` and ``edge_dead``."""
+    if isinstance(prop, _GraphSearch):
         first = prop.first_slot
         return sorted(
             ((prop.owner[s], b), prop.miss[s])
             for b in range(len(first) - 1)
             for s in range(first[b], first[b + 1])
         )
+    if prop.r == 2:
+        return [dict(c) for c in prop.count]
     return list(prop.live), list(prop.edge_dead)
 
 
@@ -291,7 +296,7 @@ def witness_recount(prop, inst):
     """The witness counters recomputed from the edges.  For r = 2 there is
     one entry per vertex u and other block b where u has a neighbour: the
     search's ``miss`` counts b's surviving members that u is not adjacent
-    to, and the certifier's ``count[u][b]`` u's surviving neighbours in b.
+    to, and the fixpoint's ``count[u][b]`` u's surviving neighbours in b.
     For r >= 3 each slot counts the live edges through its vertex over its
     witness blocks, and an edge counts its forbidden vertices."""
     r = inst.r
@@ -302,7 +307,7 @@ def witness_recount(prop, inst):
                 b = inst.block_of(w)
                 if b != inst.block_of(u):
                     count[u][b] = count[u].get(b, 0) + (not prop.forbidden[w])
-        if prop.record:
+        if isinstance(prop, _Propagation):
             return count
         adj = inst.adjacency()
         return sorted(
@@ -328,17 +333,17 @@ class TestPropagationState:
         rng = random.Random(20261026 + r)
         for _ in range(4):
             inst = planted_join_instance(rng, r)
-            fresh = _Propagation(inst, record=False)
-            prop = _Propagation(inst, record=False)
+            fresh = search_engine(inst)
+            prop = search_engine(inst)
             order = rng.sample(range(inst.num_vertices), inst.num_vertices // 2)
             half = len(order) // 2
             for v in order[:half]:
-                prop._mark(v, None)
+                prop._mark(v)
             mark = len(prop.trail)
             after_half = witness_state(prop)
             assert after_half == witness_recount(prop, inst)
             for v in order[half:]:
-                prop._mark(v, None)
+                prop._mark(v)
             assert witness_state(prop) == witness_recount(prop, inst)
             prop.undo(mark)
             assert witness_state(prop) == after_half
@@ -366,11 +371,11 @@ class TestPropagationState:
         rng = random.Random(20261027 + r)
         for _ in range(4):
             inst = planted_join_instance(rng, r)
-            first = _Propagation(inst, record=False)
+            first = search_engine(inst)
             for v in rng.sample(range(inst.num_vertices), inst.num_vertices // 3):
-                first._mark(v, None)
+                first._mark(v)
             marked = witness_state(first)
-            second = _Propagation(inst, record=False)
+            second = search_engine(inst)
             if r == 2:
                 # one index, built by the first engine; only miss is copied
                 index = inst._witness
@@ -385,11 +390,48 @@ class TestPropagationState:
                 assert second.slot_of is first.slot_of and second.edge_slots is first.edge_slots
             assert witness_state(second) == witness_recount(second, inst)
             for v in rng.sample(range(inst.num_vertices), inst.num_vertices // 3):
-                second._mark(v, None)
+                second._mark(v)
             assert witness_state(first) == marked
             second.undo(0)
             assert witness_state(first) == marked == witness_recount(first, inst)
             assert witness_state(second) == witness_recount(second, inst)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_each_engine_holds_only_its_own_tables(self, r):
+        inst = planted_join_instance(random.Random(20261030 + r), r)
+        engines = [_Propagation(inst, record=True), search_engine(inst)]
+        for engine in engines:
+            if isinstance(engine, _GraphSearch):
+                absent = ("queued", "record", "steps", "emitted", "touchers", "count", "_find_witness")
+            else:
+                absent = ("miss", "hit", "first_slot")
+            assert not [name for name in absent if hasattr(engine, name)]
+
+    def test_r2_certification_builds_no_search_index(self):
+        # the certifier counts in its own dicts, so a certified graph keeps
+        # no search table alive with it
+        inst = build_forest(3, seq_of(3, [0, 3]))
+        assert propagate_certificate(inst) is not None
+        assert inst._witness is None
+
+    def test_r3_search_reads_the_index_certification_built(self, monkeypatch):
+        from transversals import solving
+
+        inst = build_hypergraph(3, 3, sequence_override=[0, 1, 3])
+        assert propagate_certificate(inst) is not None
+        index = inst._witness
+        assert index is not None
+        read = []
+        build = solving._witness_index
+
+        def spy(instance):
+            read.append(build(instance))
+            return read[-1]
+
+        monkeypatch.setattr(solving, "_witness_index", spy)
+        assert find_transversal(inst).outcome == "none_exhaustive"
+        assert read and all(tables is index for tables in read)
+        assert inst._witness is index
 
 
 def assert_search_fixpoints_match_a_full_recheck(inst, rng, branches=8):
@@ -399,7 +441,7 @@ def assert_search_fixpoints_match_a_full_recheck(inst, rng, branches=8):
     equal the one a certifying engine reaches from the same marks when it
     re-checks every vertex, or both must empty a block; an emptied branch is
     undone, as the search does."""
-    search = _Propagation(inst, record=False)
+    search = _GraphSearch(inst)
     full = _Propagation(inst, record=True)
     assert (search.run_basic() is None) == (full.run_basic() is None)
     if search.emptied is not None:
@@ -417,7 +459,7 @@ def assert_search_fixpoints_match_a_full_recheck(inst, rng, branches=8):
         for u in search.trail + others:
             recheck._mark(u, None)
         for u in others:
-            search._mark(u, None)
+            search._mark(u)
         assert (search.run_basic() is None) == (recheck.run_basic() is None)
         if search.emptied is None:
             assert search.forbidden == recheck.forbidden
@@ -471,8 +513,8 @@ class TestEnginesAgree:
     @given(small_hypergraphs())
     def test_forced_set_hits_agree_with_a_recount_from_the_edges(self, inst):
         # every block's members and every vertex as the forced set, before
-        # and after forbidding every third vertex
-        prop = _Propagation(inst, record=False)
+        # and after forbidding every third vertex, on the engine that owns the rule
+        prop = _Propagation(inst, record=True)
         for marked in (False, True):
             if marked:
                 for v in range(0, inst.num_vertices, 3):
@@ -1306,11 +1348,13 @@ class TestCountTransversals:
             if getattr(obj, "__module__", None) == solving.__name__
         }
         used = set(names(solving.count_transversals.__code__))
-        assert "_Propagation" in own
+        engines = {"_Marks", "_GraphSearch", "_Propagation"}
+        assert engines <= own
         assert used & own <= {"TransversalReport"}
         # nor the engines' index kept with the instance
         assert "_witness" not in used
-        assert "_Propagation" not in inspect.getsource(solving.count_transversals)
+        source = inspect.getsource(solving.count_transversals)
+        assert not any(name in source for name in engines)
 
     def test_count_ignores_uncompletable_edges(self):
         # an edge with two vertices in one block can never be fully chosen
@@ -1356,6 +1400,13 @@ class TestWWBound:
     def test_builder_forest_misses_hypothesis(self):
         inst = build_forest(3, seq_of(3, [0, 3]))
         assert check_ww_bound(inst).status == "hypothesis_not_met"
+
+    def test_block_below_the_thickness_misses_hypothesis(self):
+        # the thickness skips a padding block smaller than the declared t,
+        # whose emptiness would otherwise read as a count of 0 below bound 1
+        blocks = [Block(0, (0, 1)), Block(1, (2, 3)), Block(2, (), padding=True)]
+        inst = PartitionedInstance(2, blocks, [], meta={"t": "2"})
+        assert check_ww_bound(inst) == WWReport(status="hypothesis_not_met", failing_block=2)
 
     def test_random_instances_meet_bound(self, rng):
         # t = 4, five blocks, every block meets at most t|B|/4 = 4 edges
