@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BuildSizeError, ParameterError, SequenceError
+from .errors import BuildSizeError, ParameterError, SequenceError, _refuse_non_int
 from .model import HEAVY, LIGHT, Block, PartitionedInstance, _declared_t, thickness
 from .sequences import (
     GradeSequence,
@@ -572,6 +572,7 @@ def build_star_counterexample(
     centers and each star's leaves form their own block.  Every block meets
     exactly |B|^2 / k edges, yet no independent transversal exists.  Builds
     beyond ``max_cells`` vertices or edges (k^3 + k^2 and k^3) are refused."""
+    _refuse_non_int("k", k)
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     pred = SizePrediction(blocks=k * k + 1, vertices=k**3 + k * k, edges=k**3)
@@ -595,6 +596,7 @@ def pad_blocks(
     """Append padding blocks of t isolated light vertices until the instance
     has ``target_n`` blocks.  Metrics and certificates remain valid.  A
     padded instance beyond ``max_cells`` vertices or edges is refused."""
+    _refuse_non_int("target_n", target_n)
     current = instance.num_blocks
     if target_n < current:
         raise ParameterError(

@@ -184,16 +184,25 @@ def read_certificate(path: str | Path) -> Certificate:
 def _complete(edge_set: set[tuple[int, ...]], sets: Iterable[tuple[int, ...]]) -> bool:
     """Whether every set is nonempty and every tuple across them is an edge
     (a tuple that repeats a vertex is not).  ``sets`` is read lazily, up to
-    the first empty set."""
+    the first empty set.
+
+    Edges are stored sorted, so each product tuple is sorted before the
+    lookup.  When the sets, ordered by their least vertex, are separated
+    (each set's largest vertex below the next set's least), every tuple of
+    their product in that order is already sorted and free of repeats, and
+    the product is tested as it comes.  Either way ``issuperset`` runs the
+    whole test in C; from CPython 3.11 on it stops at the first tuple that
+    is not an edge, where older versions collect the product into a set.
+    """
     chosen = []
     for s in sets:
         if not s:
             return False
         chosen.append(s)
-    for combo in product(*chosen):
-        if tuple(sorted(combo)) not in edge_set:
-            return False
-    return True
+    chosen.sort(key=min)
+    if all(max(a) < min(b) for a, b in zip(chosen, chosen[1:])):
+        return edge_set.issuperset(product(*chosen))
+    return edge_set.issuperset(map(tuple, map(sorted, product(*chosen))))
 
 
 def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:

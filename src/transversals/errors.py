@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the search-budget check."""
+"""Exception types shared across the package, and the size and budget checks."""
 
 from __future__ import annotations
 
@@ -82,3 +82,10 @@ def _refuse_bad_budget(name: str, value: int | None) -> None:
     nor an ``int`` of at least 0; a bool is refused, as ``True`` would run as 1."""
     if value is not None and (type(value) is not int or value < 0):
         raise ParameterError(f"{name} must be None or an int of at least 0, got {value!r}")
+
+
+def _refuse_non_int(name: str, value: int) -> None:
+    """Raise ``ParameterError`` for a size that is not an ``int``; a bool is
+    refused, as ``True`` would run as 1."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an int, got {value!r}")

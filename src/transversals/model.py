@@ -342,13 +342,13 @@ def _all_block_degrees(instance: PartitionedInstance) -> tuple[dict[int, int], i
                 degrees[bu] += 1
                 degrees[bv] += 1
                 stretched += 1
-    else:
-        for e in instance.edges:
-            blocks = {block_of[v] for v in e}
-            if len(blocks) == len(e):
-                stretched += 1
+    else:  # count the edges per tuple of blocks, in the order of their vertices
+        columns = (map(block_of.__getitem__, c) for c in zip(*instance.edges))
+        for blocks, c in Counter(zip(*columns)).items():
+            if len(set(blocks)) == instance.r:
+                stretched += c
                 for b in blocks:
-                    degrees[b] += 1
+                    degrees[b] += c
     return dict(enumerate(degrees)), stretched
 
 

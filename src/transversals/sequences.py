@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ParameterError
+from .errors import ParameterError, _refuse_non_int
 
 # Classification constants for Moebius orbits (desk-scale defaults).
 CONVERGENCE_TOLERANCE = Fraction(1, 10**9)
@@ -161,6 +161,7 @@ def simple_sequence(t: int) -> GradeSequence:
     inequality holds: exactly 1/t at even t and 1/t - 1/(4t^2) at odd t,
     since the step j(t - j) peaks at t^2/4, or (t^2 - 1)/4 at odd t.
     """
+    _refuse_non_int("t", t)
     if t < 2:
         raise ParameterError(f"t must be at least 2, got {t}")
     values = tuple(range(t + 1))
@@ -283,8 +284,21 @@ def grade_count_bound(epsilon: Fraction) -> int:
 # -- validation ---------------------------------------------------------------
 
 
+def _all_ints(t: int, values: Sequence[int]) -> bool:
+    return type(t) is int and all(type(v) is int for v in values)
+
+
 def structure_violations(t: int, values: tuple[int, ...]) -> list[Violation]:
-    """The structural invariants 0 = n_1 < ... < n_k = t with k >= 2."""
+    """The structural invariants 0 = n_1 < ... < n_k = t with k >= 2.  A t
+    or value that is not an ``int`` (a bool is not) is reported alone, as
+    the other checks would compare it."""
+    if not _all_ints(t, values):
+        out = [Violation(0, f"t must be an int, got {t!r}")] if type(t) is not int else []
+        return out + [
+            Violation(j, f"n_{j + 1} must be an int, got {v!r}")
+            for j, v in enumerate(values)
+            if type(v) is not int
+        ]
     if len(values) < 2:
         return [Violation(0, "a grade sequence needs at least two values")]
     out: list[Violation] = []
@@ -324,6 +338,8 @@ def validate_sequence(seq: AnySequence) -> list[Violation]:
     """
     values, t = seq.values, seq.t
     out = structure_violations(t, values)
+    if not _all_ints(t, values):
+        return out  # the degrees below would compute with them
     hypergraph = isinstance(seq, HypergraphGradeSequence)
     r = seq.r if hypergraph else 2
     c_r = threshold_constant(r)
@@ -430,6 +446,8 @@ def _classify_bounded_orbit(alpha: Fraction, points: list[Fraction]) -> OrbitOut
 def haxell_threshold(n: int, t: int) -> int:
     """ceil(n t / (2 (n-1))): the largest maximum degree that still forces an
     independent transversal for every t-thick partition into n blocks."""
+    _refuse_non_int("n", n)
+    _refuse_non_int("t", t)
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
     if t < 1:

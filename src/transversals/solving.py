@@ -144,7 +144,8 @@ def _search_index(inst: PartitionedInstance) -> tuple:
             for w in blk.members:
                 met.pop(w, None)
             owner += met
-            miss += [blk.size - c for c in met.values()]
+            size = blk.size
+            miss += [size - c for c in met.values()]
             first_slot.append(len(owner))
         seed = tuple(u for u, m in zip(owner, miss) if m == 0)
         hit: list[list[int] | None] = [None] * inst.num_vertices
@@ -399,7 +400,7 @@ class _Propagation(_Marks):
         live = self.live
         for sig, s in self.slot_of[v].items():
             c = live[s]
-            if c and c == prod(surv_count[b] for b in sig):
+            if c and c == prod(map(surv_count.__getitem__, sig)):
                 return sig
         return None
 
@@ -510,17 +511,17 @@ class _Propagation(_Marks):
         alive = [s for s in forced if not self.forbidden[s]]
         if not alive:
             return []
-        hits: list[tuple[int, tuple[int, ...]]] = []
         if self.r == 2:
-            tally: dict[int, int] = {}
-            for s in alive:
-                for u in self.adj[s]:
-                    if not self.forbidden[u]:
-                        tally[u] = tally.get(u, 0) + 1
-            for u in sorted(tally):
-                if tally[u] == len(alive):
-                    hits.append((u, ()))
-            return hits
+            # the common neighbours of the alive forced vertices, none of
+            # which is one of them (no loops), from the smallest list down
+            adj, forbidden = self.adj, self.forbidden
+            lists = sorted(map(adj.__getitem__, alive), key=len)
+            common = set(lists[0])
+            for nbrs in lists[1:]:
+                if not common:
+                    break
+                common.intersection_update(nbrs)
+            return [(u, ()) for u in sorted(common) if not forbidden[u]]
 
         # r >= 3: a (candidate, witness blocks) pair hits if, for every alive
         # s, it lies on as many live edges through s and no other forced
@@ -558,10 +559,11 @@ class _Propagation(_Marks):
                 for key, c in met.items()
                 if (pairs is None or key in pairs)
                 and len(set(key[1])) == r - 2
-                and c == prod(surv_count[b] for b in key[1])
+                and c == prod(map(surv_count.__getitem__, key[1]))
             }
             if not pairs:
                 return []
+        hits: list[tuple[int, tuple[int, ...]]] = []
         for u, wit_blocks in sorted(pairs):
             if not hits or hits[-1][0] != u:  # u's first witness tuple that works
                 hits.append((u, wit_blocks))

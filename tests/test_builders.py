@@ -193,6 +193,11 @@ class TestBuildHypergraph:
         # the implied epsilon is tight: some block attains the budget
         assert any(block_degree(inst, b.id) == budget for b in inst.blocks)
 
+    @pytest.mark.parametrize("bad", ["a", 2.5, True, None], ids=repr)
+    def test_override_value_that_is_not_an_int_is_refused(self, bad):
+        with pytest.raises(SequenceError, match=f"n_2 must be an int, got {bad!r}$"):
+            build_hypergraph(3, 3, sequence_override=[0, bad, 3])
+
     def test_size_guard(self):
         with pytest.raises(BuildSizeError) as err:
             build_hypergraph(579, 3, epsilon=Fraction(7, 100))
@@ -599,6 +604,11 @@ class TestStars:
     def test_thickness_is_leaf_block_size(self):
         assert thickness(build_star_counterexample(4)) == 4
 
+    @pytest.mark.parametrize("bad", ["a", 2.5, True, None], ids=repr)
+    def test_k_that_is_not_an_int_is_refused(self, bad):
+        with pytest.raises(ParameterError, match=f"^k must be an int, got {bad!r}$"):
+            build_star_counterexample(bad)
+
     def test_budget(self):
         # k = 200 would be 40,001 blocks, 8,040,000 vertices and 8M edges
         with pytest.raises(BuildSizeError) as err:
@@ -631,6 +641,12 @@ class TestPadBlocks:
         inst = build_forest(3, seq_of(3, [0, 3]))
         with pytest.raises(ParameterError):
             pad_blocks(inst, 2)
+
+    @pytest.mark.parametrize("bad", ["a", 2.5, True, None], ids=repr)
+    def test_target_that_is_not_an_int_is_refused(self, bad):
+        inst = build_forest(3, seq_of(3, [0, 3]))
+        with pytest.raises(ParameterError, match=f"^target_n must be an int, got {bad!r}$"):
+            pad_blocks(inst, bad)
 
     def test_budget(self):
         inst = build_forest(3, seq_of(3, [0, 3]))  # 4 blocks of 3 vertices

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from fractions import Fraction
@@ -14,6 +15,7 @@ from transversals import (
     check_certificate,
     read_certificate,
     read_instance,
+    simple_sequence,
     write_instance,
 )
 from transversals.cli import main
@@ -422,3 +424,26 @@ class TestUsageErrors:
         code, stdout, err = run(capsys, "export", str(inst), "--out", str(tmp_path))
         assert (code, stdout) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestGarbageCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_command_runs_with_gc_paused_and_restores_the_callers_state(
+        self, enabled, capsys, monkeypatch
+    ):
+        # one command that succeeds and one that fails with an error line
+        seen = []
+        monkeypatch.setattr(
+            "transversals.cli.simple_sequence",
+            lambda t: seen.append(gc.isenabled()) or simple_sequence(t),
+        )
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert main(["sequence", "--simple", "--t", "4"]) == 0
+            assert gc.isenabled() == enabled
+            assert main(["sequence", "--simple", "--t", "1"]) == 2
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]

@@ -29,6 +29,7 @@ from transversals import (
     relabel,
     thickness,
 )
+from transversals.model import _all_block_degrees
 
 
 def test_partition_invariants_enforced():
@@ -445,3 +446,39 @@ def test_local_degree_matches_its_definition(rng):
     ] + [random_capped_degree_instance(3, 5, rng, cap) for cap in (1, 2, 4, 8)]
     for inst in instances:
         assert local_degree(inst) == local_degree_per_pair(inst)
+
+
+def block_degrees_per_edge(inst):
+    """Every block's degree and the stretched-edge count, one edge at a time:
+    an edge over r distinct blocks counts once for each of them."""
+    degrees = [0] * inst.num_blocks
+    stretched = 0
+    for e in inst.edges:
+        blocks = {inst.block_of(v) for v in e}
+        if len(blocks) == len(e):
+            stretched += 1
+            for b in blocks:
+                degrees[b] += 1
+    return dict(enumerate(degrees)), stretched
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_block_degrees_match_a_per_edge_count(r, rng):
+    # random edges over blocks of unequal sizes, so that some repeat a block,
+    # and the same edges relabeled, so that a block tuple's edges interleave
+    seen = Counter()
+    for _ in range(30):
+        sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(r, r + 5))]
+        starts = [sum(sizes[:b]) for b in range(len(sizes) + 1)]
+        n = starts[-1]
+        if n < r:
+            continue
+        blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+        edges = {tuple(sorted(rng.sample(range(n), r))) for _ in range(rng.randrange(0, 60))}
+        inst = make_instance(r, blocks, sorted(edges))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for case in (inst, relabel(inst, perm)):
+            assert _all_block_degrees(case) == block_degrees_per_edge(case)
+        seen.update(len({inst.block_of(v) for v in e}) == r for e in edges)
+    assert seen[True] and seen[False]  # stretched and block-repeating edges

@@ -352,3 +352,38 @@ class TestOneBudgetRule:
                 assert [(v.index, v.message) for v in validate_sequence(seq)] == (
                     reference_validate_sequence(seq)
                 )
+
+
+# "3" checks that the message tells "3" from 3, as "n_k must equal t=3, got 3" did not
+NOT_INTS = ["a", "3", 2.5, True, None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (simple_sequence, "t"),
+        (lambda x: GradeSequence.from_values(x, [0, 3]), "t"),
+        (lambda x: GradeSequence.from_values(3, [0, x]), "n_2"),
+        (lambda x: haxell_threshold(x, 3), "n"),
+        (lambda x: haxell_threshold(5, x), "t"),
+    ],
+    ids=["simple", "from_values-t", "from_values-value", "haxell-n", "haxell-t"],
+)
+def test_a_size_that_is_not_an_int_is_refused(call, name, bad):
+    with pytest.raises(ParameterError, match=f"^(.*: )?{name} must be an int, got {bad!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+def test_structure_violations_report_a_value_that_is_not_an_int(bad):
+    assert [(v.index, v.message) for v in structure_violations(bad, (0, 3))] == [
+        (0, f"t must be an int, got {bad!r}")
+    ]
+    expected = [(1, f"n_2 must be an int, got {bad!r}")]
+    assert [(v.index, v.message) for v in structure_violations(3, (0, bad, 3))] == expected
+    for seq in (
+        GradeSequence(t=3, epsilon=Fraction(1), values=(0, bad, 3)),
+        HypergraphGradeSequence(t=3, r=3, epsilon=Fraction(1), values=(0, bad, 3), terminal=True),
+    ):
+        assert [(v.index, v.message) for v in validate_sequence(seq)] == expected

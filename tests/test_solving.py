@@ -497,6 +497,25 @@ def forced_set_hits_from_the_edges(prop, forced):
     return hits
 
 
+def parts_are_separated(parts):
+    """Whether the parts, ordered by their least vertex, each end below the
+    next one's least vertex."""
+    parts = sorted(parts, key=min)
+    return all(max(a) < min(b) for a, b in zip(parts, parts[1:]))
+
+
+def forced_set_hits_by_tally(prop, forced):
+    """The r = 2 forced-set rule as a tally: every live neighbour of every
+    alive forced vertex, kept if it neighbours all of them."""
+    alive = [s for s in forced if not prop.forbidden[s]]
+    tally = {}
+    for s in alive:
+        for u in prop.adj[s]:
+            if not prop.forbidden[u]:
+                tally[u] = tally.get(u, 0) + 1
+    return [(u, ()) for u in sorted(tally) if tally[u] == len(alive)]
+
+
 class TestEnginesAgree:
     @settings(max_examples=250, derandomize=True, database=None, deadline=None)
     @given(small_hypergraphs().filter(lambda inst: inst.r == 2), st.randoms(use_true_random=False))
@@ -521,6 +540,30 @@ class TestEnginesAgree:
                     prop._mark(v, None)
             for forced in [b.members for b in inst.blocks] + [(v,) for v in range(inst.num_vertices)]:
                 assert prop._forced_set_hits(forced) == forced_set_hits_from_the_edges(prop, forced)
+
+    def test_r2_forced_set_hits_agree_with_a_tally(self):
+        # random and planted-join graphs; as forced sets every block's
+        # members and random sets of one to five vertices, before and after
+        # forbidding a random quarter of the vertices
+        rng = random.Random(20261020)
+        graphs = [random_capped_degree_instance(3, 30, rng, cap) for cap in (2, 4, 8)]
+        graphs += [unequal_blocks_instance(rng) for _ in range(3)]
+        graphs += [planted_join_instance(rng, 2) for _ in range(6)]
+        nonempty = 0
+        for inst in graphs:
+            prop = _Propagation(inst, record=True)
+            n = inst.num_vertices
+            for marked in (False, True):
+                if marked:
+                    for v in rng.sample(range(n), n // 4):
+                        prop._mark(v, None)
+                sets = [b.members for b in inst.blocks]
+                sets += [tuple(sorted(rng.sample(range(n), rng.randrange(1, 6)))) for _ in range(60)]
+                for forced in sets:
+                    hits = prop._forced_set_hits(forced)
+                    assert hits == forced_set_hits_by_tally(prop, forced)
+                    nonempty += bool(hits)
+        assert nonempty > 100
 
     @settings(max_examples=250, derandomize=True, database=None, deadline=None)
     @given(small_hypergraphs(), st.data())
@@ -565,6 +608,26 @@ class TestCheckCertificate:
             roles=list(inst.roles),
         )
         assert not check_certificate(weaker, cert)
+
+    def test_complete_joins_replay_on_separated_and_interleaved_labels(self):
+        # In the build every join's parts lie in blocks of consecutive ids,
+        # so the checker tests each product as it comes; a shuffled copy
+        # interleaves the parts, so it sorts every tuple first.  Removing one
+        # edge of a complete join must fail the replay on both.
+        inst = build_hypergraph_bounded_degree(21, 3, sequence_override=(0, 3, 21))
+        perm = list(range(inst.num_vertices))
+        random.Random(20261020).shuffle(perm)
+        moved = relabel(inst, perm)
+        for case, separated in ((inst, True), (moved, False)):
+            cert = propagate_certificate(case)
+            assert cert is not None and check_certificate(case, cert)
+            joins = [step.kept for step in cert.steps if isinstance(step, JoinForcedStep)]
+            assert set(map(parts_are_separated, joins)) == {separated}
+            cut = tuple(sorted(next(itertools.product(*joins[0]))))
+            weaker = PartitionedInstance(
+                case.r, case.blocks, [e for e in case.edges if e != cut], roles=case.roles
+            )
+            assert not check_certificate(weaker, cert)
 
     def test_empty_steps_nonempty_conclusion_fails(self):
         inst, _ = self._forest_and_cert()
