@@ -26,12 +26,13 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BuildSizeError, ParameterError, SequenceError, _refuse_non_int
+from .errors import BuildSizeError, ParameterError, SequenceError, _as_rational, _refuse_non_int
 from .model import HEAVY, LIGHT, Block, PartitionedInstance, _declared_t, thickness
 from .sequences import (
     GradeSequence,
     forest_grade_sequence,
     hypergraph_grade_sequence,
+    minimal_t,
     structure_violations,
     threshold_constant,
     validate_sequence,
@@ -203,6 +204,8 @@ def predict_size(
     Walks the build's recursion up from a grade-1 unit (one block, no
     edges), with the same one special case: grade 2 on join gadgets.
     """
+    _refuse_non_int("t", t)
+    _refuse_non_int("r", r)
     blocks, edges = 1, 0
     for j in range(1, len(values)):
         if j == 1 and gadget_parts is not None:
@@ -238,6 +241,7 @@ def build_forest(
     each higher heavy vertex is fully joined to the light set of a private
     lower unit.  Light vertices have degree at most 1 and the result is
     always a forest."""
+    _refuse_non_int("t", t)
     if seq.t != t:
         raise SequenceError(f"sequence was generated for t={seq.t}, not t={t}")
     violations = validate_sequence(seq)
@@ -260,11 +264,15 @@ def build_hypergraph(
     the implied epsilon (smallest making every per-grade block degree fit
     (c_r + eps) t^r) is recorded in the metadata.
     """
+    _refuse_non_int("t", t)
+    threshold_constant(r)  # refuses r unless an int of at least 2
+    if epsilon is not None:
+        epsilon = _as_rational("epsilon", epsilon, positive=True)
     values = _hypergraph_values(t, r, epsilon, sequence_override)
     if sequence_override is not None:
         epsilon, source = _implied_epsilon(t, r, values), "override"
     else:
-        epsilon, source = Fraction(epsilon), "generated"
+        source = "generated"
     extra_meta = {"r": str(r), "sequence_source": source}
     return _build_recursive("hypergraph", t, r, values, epsilon, None, max_cells, extra_meta)
 
@@ -279,7 +287,7 @@ def _hypergraph_values(
     if sequence_override is None:
         if epsilon is None:
             raise ParameterError("epsilon is required unless a sequence is given")
-        return hypergraph_grade_sequence(t, r, Fraction(epsilon)).values
+        return hypergraph_grade_sequence(t, r, epsilon).values
     values = tuple(sequence_override)
     violations = structure_violations(t, values)
     if violations:
@@ -365,7 +373,8 @@ def _gadget_profile(
     degrees += _grade_degrees(t, r, values[1:])
 
     fit = _fitting_epsilon(t, r, degrees)
-    epsilon = fit if epsilon is None else Fraction(epsilon)
+    if epsilon is None:
+        epsilon = fit
     if fit > epsilon:  # a given epsilon is positive, so the fit's floor at 0 is moot
         raise ParameterError(
             f"block degree {max(degrees)} exceeds (c_r+eps)t^r = {(c_r + epsilon) * t**r}; "
@@ -406,7 +415,9 @@ def bounded_degree_profile(
     forced set has size 2t - |A| - |B| and the grade recurrence continues
     from the effective value |A| + |B| - t.
     """
-    alpha = Fraction(alpha) if alpha is not None else DEFAULT_BOUNDED_ALPHA
+    _refuse_non_int("t", t)
+    epsilon = _as_rational("epsilon", epsilon, positive=True)
+    alpha = DEFAULT_BOUNDED_ALPHA if alpha is None else _as_rational("alpha", alpha)
     if not Fraction(1, 2) <= alpha < 1:
         raise ParameterError(f"alpha must lie in [1/2, 1), got {alpha}")
     # Degrees are governed by max(alpha, 2 - alpha - 1/(4 alpha)); the two
@@ -418,6 +429,8 @@ def bounded_degree_profile(
 def local_degree_profile(t: int, epsilon: Fraction) -> DegreeBoundedProfile:
     """Numerology of the local-degree-bounded build (alpha fixed at 0.731,
     grade-2 size set directly to ceil((2 - alpha - 1/(4 alpha))^-1 t/4))."""
+    _refuse_non_int("t", t)
+    epsilon = _as_rational("epsilon", epsilon, positive=True)
     alpha = LOCAL_ALPHA
     n2 = math.ceil(1 / (2 - alpha - 1 / (4 * alpha)) * Fraction(t, 4))
     return _pair_profile(t, epsilon, alpha, n2, math.ceil(LOCAL_DEGREE_RATIO * t))
@@ -428,23 +441,19 @@ def _pair_profile(
 ) -> DegreeBoundedProfile:
     """The r = 2 geometry: join parts from alpha, grade values from the
     effective first value |A| + |B| - t (or from ``n2``, bounding the local
-    degree instead of the maximum degree)."""
-    epsilon = Fraction(epsilon)
+    degree instead of the maximum degree).  That value is never negative,
+    as alpha + 1/(4 alpha) >= 1."""
     a_size, b_size = parts = (math.ceil(alpha * t), math.ceil(t / (4 * alpha)))
     if a_size >= t or b_size >= t or a_size < 1 or b_size < 1:
         raise ParameterError(
             f"join parts |A|={a_size}, |B|={b_size} must be strictly between 0 and t={t}"
         )
     start = a_size + b_size - t
-    if start < 0:
-        raise ParameterError(
-            f"effective first value {start} is negative; t={t} is too small"
-        )
     delta = epsilon / 2
     if delta * t <= 2:
         raise ParameterError(
             f"t={t} too small for epsilon={epsilon} (need epsilon*t/2 > 2)",
-            minimal_t=math.floor(Fraction(4) / epsilon) + 1,
+            minimal_t=minimal_t(epsilon),
         )
     if n2 is None:
         values = tuple(_run_floor_recurrence(t, delta, start=start))
@@ -506,8 +515,10 @@ def hypergraph_bounded_parts(t: int, r: int) -> tuple[int, ...]:
 
     All parts have size t except the last two: m_{r-1} = ceil((1 - c_r/3) t)
     and m_r = floor(c_r t^2 / m_{r-1}), so the part product stays at most
-    c_r t^r.
+    c_r t^r.  The last part is never empty: m_{r-1} < t forces c_r t >= 3,
+    and m_r >= floor(c_r t).
     """
+    _refuse_non_int("t", t)
     c_r = threshold_constant(r)
     m_second = math.ceil((1 - c_r / 3) * t)
     if m_second >= t:
@@ -515,10 +526,7 @@ def hypergraph_bounded_parts(t: int, r: int) -> tuple[int, ...]:
             f"t={t} too small to separate the intermediate part (need t >= 3/c_r)",
             minimal_t=math.ceil(3 / c_r),
         )
-    m_last = math.floor(c_r * t * t / m_second)
-    if m_last < 1:
-        raise ParameterError(f"t={t} too small: minimal part would be empty")
-    return (t,) * (r - 2) + (m_second, m_last)
+    return (t,) * (r - 2) + (m_second, math.floor(c_r * t * t / m_second))
 
 
 def hypergraph_bounded_profile(
@@ -529,6 +537,8 @@ def hypergraph_bounded_profile(
 ) -> DegreeBoundedProfile:
     """Exact numerology of the degree-bounded r-uniform build."""
     parts = hypergraph_bounded_parts(t, r)
+    if epsilon is not None:
+        epsilon = _as_rational("epsilon", epsilon, positive=True)
     values = _hypergraph_values(t, r, epsilon, sequence_override)
     bound = math.ceil((1 - threshold_constant(r) / 3) * t ** (r - 1)) + r
     if sequence_override is not None:
@@ -642,7 +652,8 @@ _RECIPE_READS = {
 
 def build(recipe: BuildRecipe, max_cells: int | None = DEFAULT_MAX_CELLS) -> PartitionedInstance:
     """Build from a flag-level recipe (the CLI entry point).  A field that
-    the recipe's kind does not read raises :class:`ParameterError`."""
+    the recipe's kind does not read raises :class:`ParameterError`; the
+    builder checks the fields that it reads."""
     kind = recipe.kind
     if kind not in _RECIPE_READS:
         raise ParameterError(f"unknown build kind {kind!r}")
@@ -654,11 +665,7 @@ def build(recipe: BuildRecipe, max_cells: int | None = DEFAULT_MAX_CELLS) -> Par
     if unread:
         raise ParameterError(f"kind {kind!r} does not read {', '.join(unread)}")
     if kind == "stars":
-        if recipe.k_stars is None:
-            raise ParameterError("stars need k")
         return build_star_counterexample(recipe.k_stars, max_cells=max_cells)
-    if recipe.t is None:
-        raise ParameterError(f"kind {kind!r} needs t")
     t = recipe.t
     if kind == "forest":
         if recipe.sequence_override is not None:
@@ -669,12 +676,8 @@ def build(recipe: BuildRecipe, max_cells: int | None = DEFAULT_MAX_CELLS) -> Par
             raise ParameterError("forest needs epsilon or an explicit sequence")
         return build_forest(t, seq, max_cells=max_cells)
     if kind == "bounded_degree":
-        if recipe.epsilon is None:
-            raise ParameterError("bounded_degree needs epsilon")
         return build_bounded_degree(t, recipe.epsilon, recipe.alpha, max_cells=max_cells)
     if kind == "local_degree":
-        if recipe.epsilon is None:
-            raise ParameterError("local_degree needs epsilon")
         return build_local_degree(t, recipe.epsilon, max_cells=max_cells)
     if kind == "hypergraph":
         return build_hypergraph(

@@ -212,8 +212,11 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
     an ``int``, or one out of range) raise :class:`CertificateError`, whose
     message ends in "(at step i)" as the parser's does; logically
     unjustified steps make the replay return False.  A field holds an
-    ``int``, or a list or tuple of them (``kept``: of such lists).
+    ``int``, or a list or tuple of them (``kept``: of such lists).  A
+    ``cert`` that is not a :class:`Certificate` raises it too.
     """
+    if not isinstance(cert, Certificate):
+        raise CertificateError(f"expected a Certificate, got {type(cert).__name__}")
     r = instance.r
     n = instance.num_vertices
     num_blocks = instance.num_blocks

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the size and budget checks."""
+"""Exception types shared across the package, and the size, budget and
+rational-parameter checks."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class ParameterError(ValueError):
@@ -89,3 +92,19 @@ def _refuse_non_int(name: str, value: int) -> None:
     refused, as ``True`` would run as 1."""
     if type(value) is not int:
         raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
+def _as_rational(name: str, value: object, positive: bool = False) -> Fraction:
+    """The exact ``Fraction`` of a rational parameter: an int, a Fraction, a
+    finite float or a string such as "3/10".  Raise ``ParameterError`` for
+    anything else (None, a bool, NaN, infinity) and, with ``positive``, for
+    a value of at most 0, as every formula that divides by it needs."""
+    try:
+        fraction = None if type(value) is bool else Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        fraction = None
+    if fraction is None:
+        raise ParameterError(f"{name} must be a rational number, got {value!r}")
+    if positive and fraction <= 0:
+        raise ParameterError(f"{name} must be positive, got {fraction}")
+    return fraction

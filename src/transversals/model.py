@@ -445,7 +445,7 @@ def relabel(instance: PartitionedInstance, perm: Sequence[int]) -> PartitionedIn
     Used to check that metrics are invariant under relabeling.
     """
     n = instance.num_vertices
-    if sorted(perm) != list(range(n)):
+    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(n)):
         raise InstanceError("perm must be a permutation of the vertex ids")
     blocks = [
         Block(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ParameterError, _refuse_non_int
+from .errors import ParameterError, _as_rational, _refuse_non_int
 
 # Classification constants for Moebius orbits (desk-scale defaults).
 CONVERGENCE_TOLERANCE = Fraction(1, 10**9)
@@ -29,6 +29,7 @@ DEFAULT_MAX_STEPS = 10**4
 
 def threshold_constant(r: int) -> Fraction:
     """c_r = (r-1)^(r-1) / r^r; equals 1/4 at r=2."""
+    _refuse_non_int("r", r)
     if r < 2:
         raise ParameterError(f"uniformity must be at least 2, got {r}")
     return Fraction((r - 1) ** (r - 1), r**r)
@@ -101,12 +102,11 @@ def minimal_t(epsilon: Fraction) -> int:
     With delta fixed to epsilon/2 the two requirements are
     (1/4+delta)t + 1 <= (1/4+epsilon)t  (t >= 2/epsilon) and
     delta*t/2 > 1                        (t > 4/epsilon).
+    The second implies the first: ceil(2/epsilon) <= floor(4/epsilon) + 1
+    for every epsilon > 0, so t0 = floor(4/epsilon) + 1.
     """
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
-    from_slack = math.ceil(Fraction(2) / epsilon)
-    from_width = math.floor(Fraction(4) / epsilon) + 1
-    return max(from_slack, from_width)
+    epsilon = _as_rational("epsilon", epsilon, positive=True)
+    return math.floor(4 / epsilon) + 1
 
 
 def forest_grade_sequence(t: int, epsilon: Fraction) -> GradeSequence:
@@ -116,7 +116,8 @@ def forest_grade_sequence(t: int, epsilon: Fraction) -> GradeSequence:
     n_{j+1} = min(floor((1/4 + delta) t / (1 - n_j/t)), t) with delta =
     epsilon/2; once n_j >= 3t/4 the next value is t and the sequence ends.
     """
-    epsilon = Fraction(epsilon)
+    _refuse_non_int("t", t)
+    epsilon = _as_rational("epsilon", epsilon, positive=True)
     t0 = minimal_t(epsilon)
     if t < t0:
         raise ParameterError(
@@ -133,7 +134,14 @@ def forest_grade_sequence(t: int, epsilon: Fraction) -> GradeSequence:
 
 
 def _run_floor_recurrence(t: int, delta: Fraction, start: int) -> list[int]:
-    """Shared growth loop; also used with a nonzero start by the degree-bounded builds."""
+    """Shared growth loop; also used with a nonzero start by the degree-bounded builds.
+
+    Both callers ensure delta*t > 2, so the recurrence neither stalls nor
+    loses the width condition: before the floor a step reaches
+    (1/4 + delta) t / (1 - n_j/t) >= n_j + delta t > n_j + 2, since
+    x (1 - x) <= 1/4, and the floor takes less than 1 < delta t / 2 of it,
+    so n_{j+1} / t stays above (1/4 + delta/2) / (1 - n_j/t).
+    """
     values = [start]
     rate = Fraction(1, 4) + delta
     while values[-1] < t:
@@ -141,16 +149,7 @@ def _run_floor_recurrence(t: int, delta: Fraction, start: int) -> list[int]:
         if Fraction(nj, t) >= Fraction(3, 4):
             values.append(t)
             break
-        nxt = min(math.floor(rate * t / (1 - Fraction(nj, t))), t)
-        if nxt <= nj:
-            raise ParameterError(
-                f"recurrence stalled at n_j={nj} (t={t}, delta={delta}); t is too small"
-            )
-        # Floor-loss guard from the width condition: the next ratio still
-        # clears (1/4 + delta/2) / (1 - n_j/t) whenever the cap at t did not fire.
-        if nxt < t and Fraction(nxt, t) < (Fraction(1, 4) + delta / 2) / (1 - Fraction(nj, t)):
-            raise AssertionError(f"floor loss broke the width condition at n_j={nj}")
-        values.append(nxt)
+        values.append(min(math.floor(rate * t / (1 - Fraction(nj, t))), t))
     return values
 
 
@@ -199,7 +198,8 @@ def minimal_hypergraph_t(r: int, epsilon: Fraction) -> int:
 
     With delta = 5 epsilon / 6 this reads t >= 6 / (epsilon c_r).
     """
-    return math.ceil(Fraction(6) / (Fraction(epsilon) * threshold_constant(r)))
+    c_r = threshold_constant(r)
+    return math.ceil(6 / (_as_rational("epsilon", epsilon, positive=True) * c_r))
 
 
 def hypergraph_grade_sequence(t: int, r: int, epsilon: Fraction) -> HypergraphGradeSequence:
@@ -208,10 +208,18 @@ def hypergraph_grade_sequence(t: int, r: int, epsilon: Fraction) -> HypergraphGr
     n_1 = 0 and n_{j+1} = min(floor((1+delta) c_r (t/(t-n_j))^(r-1) t), t)
     with delta = 5 epsilon / 6; once (t - n_j)^(r-1) <= c_r t^(r-1) a single
     terminal grade with n = t is appended.
+
+    From t >= t0 the recurrence grows by a factor above 1 + delta/2 per
+    step, so it never stalls and the grade-count bound applies.  Since
+    x (t - x)^(r-1) <= c_r t^r, a step before the floor reaches at least
+    (1 + delta) n_j; t >= 6 / (epsilon c_r) gives n_2 >= c_r t >= 5 / delta
+    (and n_2 > epsilon t / 2), and from n_j >= 5 / delta the floor's loss of
+    less than 1 leaves more than (1 + delta/2) n_j.
     """
-    epsilon = Fraction(epsilon)
+    _refuse_non_int("t", t)
     c_r = threshold_constant(r)
-    if not 0 < epsilon < c_r / 2:
+    epsilon = _as_rational("epsilon", epsilon, positive=True)
+    if epsilon >= c_r / 2:
         raise ParameterError(
             f"epsilon must lie in (0, c_r/2) = (0, {c_r / 2}), got {epsilon}"
         )
@@ -230,21 +238,9 @@ def hypergraph_grade_sequence(t: int, r: int, epsilon: Fraction) -> HypergraphGr
             values.append(t)
             terminal = True
             break
-        nxt = min(
-            math.floor((1 + delta) * c_r * Fraction(t, t - nj) ** (r - 1) * t), t
+        values.append(
+            min(math.floor((1 + delta) * c_r * Fraction(t, t - nj) ** (r - 1) * t), t)
         )
-        if nxt <= nj:
-            raise ParameterError(
-                f"recurrence stalled at n_j={nj} (t={t}, r={r}); t is too small"
-            )
-        if nxt < t and nj > 0:
-            # Growth-rate guarantee used by the grade-count bound.
-            if Fraction(nxt, t) < (1 + delta / 2) * Fraction(nj, t):
-                raise AssertionError(f"grade growth too slow: n_j={nj}, n_j+1={nxt}")
-        values.append(nxt)
-
-    if values[1] * 2 < epsilon * t:
-        raise ParameterError(f"n_2={values[1]} fell below epsilon*t/2; t too small")
 
     seq = HypergraphGradeSequence(
         t=t, r=r, epsilon=epsilon, values=tuple(values), delta=delta, terminal=terminal
@@ -263,9 +259,7 @@ def hypergraph_grade_sequence(t: int, r: int, epsilon: Fraction) -> HypergraphGr
 def grade_count_bound(epsilon: Fraction) -> int:
     """ceil(log_{1+eps/3}(2/eps + 2)) + 2, the guaranteed grade-count cap:
     k + 2 for the least k with (1 + eps/3)^k >= 2/eps + 2, found exactly."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _as_rational("epsilon", epsilon, positive=True)
     base = 1 + epsilon / 3
     target = 2 / epsilon + 2  # > 1, so k = 0 falls short
     # Doubling, then bisection: O(log k) exact powers instead of k products.
@@ -376,8 +370,9 @@ def mobius_orbit(
       it monotonically for the whole run;
     * ``undecided`` otherwise.
     """
-    alpha = Fraction(alpha)
-    start = Fraction(start)
+    alpha = _as_rational("alpha", alpha)
+    start = _as_rational("start", start)
+    _refuse_non_int("max_steps", max_steps)
     if start == 1:
         raise ParameterError("start must differ from 1")
     if max_steps < 1:
@@ -413,8 +408,7 @@ def attracting_fixed_point(alpha: Fraction) -> Fraction | None:
     is a perfect rational square (covers alpha = 1/4 where z* = 1/2), else a
     high-precision rational approximation.
     """
-    alpha = Fraction(alpha)
-    disc = 1 - 4 * alpha
+    disc = 1 - 4 * _as_rational("alpha", alpha)
     if disc < 0:
         return None
     num, den = disc.numerator, disc.denominator

@@ -335,15 +335,15 @@ class _Propagation(_Marks):
             self.steps.append(ForcedSetStep(block=b, survivors=surv))
 
     def _mark(self, v: int, step: Step | None = None) -> None:
-        """Mark v forbidden, record ``step`` (given only when certifying),
-        update the counts and queue the touchers of v's block."""
+        """Mark v forbidden, record ``step`` (given only when certifying)
+        after a snapshot of its witness blocks, update the counts and queue
+        the touchers of v's block."""
         forbidden = self.forbidden
         if forbidden[v]:
             return
         if step is not None:
-            if isinstance(step, ForbiddenStep):
-                for b in step.witnesses:
-                    self._emit_forced(b)
+            for b in step.witnesses:
+                self._emit_forced(b)
             self.steps.append(step)
         bv = self._forbid(v)
         if self.r == 2:
@@ -426,7 +426,8 @@ class _Propagation(_Marks):
         the ``live`` count of slot ``slot_of[v][T minus b]`` for r >= 3) is
         positive.  Those vertices are b's kept part, the entries summed over
         one part count T's live edges, and the join is complete when that
-        count is the product of the part sizes.
+        count is the product of the part sizes.  Only the certifier runs
+        this phase, so its steps are always recorded.
         """
         progress = False
         r = self.r
@@ -469,29 +470,24 @@ class _Propagation(_Marks):
             hits = self._forced_set_hits(forced_t)
             if not hits:
                 continue
-            if self.record:
-                for b in sig:
-                    self._emit_forced(b)
-                self.steps.append(
-                    JoinForcedStep(
-                        blocks=sig,
-                        kept=tuple(tuple(sorted(part)) for part in kept),
-                        forced=forced_t,
-                    )
+            for b in sig:
+                self._emit_forced(b)
+            self.steps.append(
+                JoinForcedStep(
+                    blocks=sig,
+                    kept=tuple(tuple(sorted(part)) for part in kept),
+                    forced=forced_t,
                 )
-                forced_index = len(self.steps) - 1
+            )
+            forced_index = len(self.steps) - 1
             # Every hit stays valid while the others are marked: a hit is
             # never a forced vertex, marking forbids only the hit, and the
             # survivor sets it was found joined to only shrink.
             for v, witnesses in hits:
-                step = None
-                if self.record:
-                    for b in witnesses:
-                        self._emit_forced(b)
-                    step = ForbiddenViaForcedStep(
-                        vertex=v, forced_step=forced_index, witnesses=witnesses
-                    )
-                self._mark(v, step)
+                self._mark(
+                    v,
+                    ForbiddenViaForcedStep(vertex=v, forced_step=forced_index, witnesses=witnesses),
+                )
                 progress = True
                 if self.emptied is not None:
                     break

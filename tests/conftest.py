@@ -1,16 +1,10 @@
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-from transversals import Block, PartitionedInstance  # noqa: E402
+from transversals import Block, PartitionedInstance
 
 
 def make_instance(r, block_members, edges, roles=None, meta=None):

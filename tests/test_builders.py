@@ -707,3 +707,29 @@ class TestRecipes:
             pred.vertices,
             pred.edges,
         )
+
+
+# -- the lemmas that replaced checks which could not fire ------------------------
+
+
+def test_the_effective_first_value_is_never_negative():
+    # ceil(alpha t) + ceil(t / (4 alpha)) >= t, as alpha + 1/(4 alpha) >= 1
+    alphas = [Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), LOCAL_ALPHA, Fraction(4, 5),
+              DEFAULT_BOUNDED_ALPHA, Fraction(99, 100)]
+    for t in range(1, 2001):
+        for alpha in alphas:
+            assert math.ceil(alpha * t) + math.ceil(t / (4 * alpha)) - t >= 0
+
+
+def test_an_admitted_gadget_has_a_nonempty_last_part():
+    # m_{r-1} < t forces c_r t >= 3, and m_r >= floor(c_r t)
+    admitted = 0
+    for r in range(2, 7):
+        for t in range(1, 3001):
+            try:
+                parts = hypergraph_bounded_parts(t, r)
+            except ParameterError:
+                continue
+            admitted += 1
+            assert parts[-1] >= math.floor(threshold_constant(r) * t) >= 3
+    assert admitted == 14_861

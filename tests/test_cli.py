@@ -95,6 +95,10 @@ class TestGen:
         assert code == 2
         assert "blocks" in err
 
+    def test_zero_epsilon_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "gen", "--kind", "bounded_degree", "--t", "14", "--epsilon", "0")
+        assert (code, out, err) == (2, "", "error: epsilon must be positive, got 0\n")
+
     def test_oversized_stars_and_padding_are_validation_failures(self, capsys):
         for args in (
             ["--kind", "stars", "--k", "200"],

@@ -289,6 +289,14 @@ def test_metrics_are_invariant_under_a_drawn_relabeling(inst, data):
     assert compute_metrics(relabel(inst, perm)) == compute_metrics(inst)
 
 
+def test_relabel_refuses_a_permutation_entry_that_is_not_an_int():
+    # 1.0 == 1, so a sorted comparison alone would let it through
+    inst = make_instance(2, [[0], [1]], [(0, 1)])
+    for perm in ([0, 1.0], [True, 0]):
+        with pytest.raises(InstanceError, match="perm must be a permutation"):
+            relabel(inst, perm)
+
+
 def test_vertex_info_roles_and_grades():
     inst = build_forest(3, GradeSequence.from_values(3, [0, 3]))
     top = max(inst.blocks, key=lambda b: b.grade or 0)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,18 +10,34 @@ from transversals import (
     GradeSequence,
     HypergraphGradeSequence,
     ParameterError,
+    bounded_degree_profile,
+    build_bounded_degree,
+    build_forest,
+    build_hypergraph,
+    build_local_degree,
     forest_grade_sequence,
     haxell_threshold,
+    hypergraph_bounded_parts,
+    hypergraph_bounded_profile,
     hypergraph_grade_sequence,
+    local_degree_profile,
     minimal_epsilon,
     minimal_hypergraph_t,
     minimal_t,
     mobius_orbit,
+    predict_size,
     simple_sequence,
     threshold_constant,
     validate_sequence,
 )
-from transversals.sequences import _implied_epsilon, grade_block_degree, structure_violations
+from transversals.sequences import (
+    _implied_epsilon,
+    _run_floor_recurrence,
+    attracting_fixed_point,
+    grade_block_degree,
+    grade_count_bound,
+    structure_violations,
+)
 
 
 def lhs(t, values, j):
@@ -367,8 +385,33 @@ NOT_INTS = ["a", "3", 2.5, True, None]
         (lambda x: GradeSequence.from_values(3, [0, x]), "n_2"),
         (lambda x: haxell_threshold(x, 3), "n"),
         (lambda x: haxell_threshold(5, x), "t"),
+        (threshold_constant, "r"),
+        (lambda x: forest_grade_sequence(x, Fraction(3, 10)), "t"),
+        (lambda x: hypergraph_grade_sequence(x, 3, Fraction(7, 100)), "t"),
+        (lambda x: hypergraph_grade_sequence(600, x, Fraction(7, 100)), "r"),
+        (lambda x: minimal_hypergraph_t(x, Fraction(7, 100)), "r"),
+        (lambda x: mobius_orbit(Fraction(1, 4), 0, x), "max_steps"),
+        (lambda x: predict_size(x, 2, (0, 3)), "t"),
+        (lambda x: predict_size(3, x, (0, 3)), "r"),
+        (lambda x: build_forest(x, simple_sequence(3)), "t"),
+        (lambda x: build_hypergraph(x, 3, sequence_override=[0, 1, 3]), "t"),
+        (lambda x: build_hypergraph(3, x, sequence_override=[0, 1, 3]), "r"),
+        (lambda x: bounded_degree_profile(x, Fraction(3, 10)), "t"),
+        (lambda x: build_bounded_degree(x, Fraction(3, 10)), "t"),
+        (lambda x: local_degree_profile(x, Fraction(3, 10)), "t"),
+        (lambda x: build_local_degree(x, Fraction(3, 10)), "t"),
+        (lambda x: hypergraph_bounded_parts(x, 3), "t"),
+        (lambda x: hypergraph_bounded_parts(21, x), "r"),
     ],
-    ids=["simple", "from_values-t", "from_values-value", "haxell-n", "haxell-t"],
+    ids=[
+        "simple", "from_values-t", "from_values-value", "haxell-n", "haxell-t",
+        "threshold_constant-r", "forest_grade_sequence-t", "hypergraph_grade_sequence-t",
+        "hypergraph_grade_sequence-r", "minimal_hypergraph_t-r", "mobius_orbit-max_steps",
+        "predict_size-t", "predict_size-r", "build_forest-t", "build_hypergraph-t",
+        "build_hypergraph-r", "bounded_degree_profile-t", "build_bounded_degree-t",
+        "local_degree_profile-t", "build_local_degree-t", "hypergraph_bounded_parts-t",
+        "hypergraph_bounded_parts-r",
+    ],
 )
 def test_a_size_that_is_not_an_int_is_refused(call, name, bad):
     with pytest.raises(ParameterError, match=f"^(.*: )?{name} must be an int, got {bad!r}$"):
@@ -387,3 +430,97 @@ def test_structure_violations_report_a_value_that_is_not_an_int(bad):
         HypergraphGradeSequence(t=3, r=3, epsilon=Fraction(1), values=(0, bad, 3), terminal=True),
     ):
         assert [(v.index, v.message) for v in validate_sequence(seq)] == expected
+
+
+# None, a bool, a string that does not parse, NaN and infinity are not
+# rationals; an epsilon must also be positive.  None is left out where it
+# means "not given": the default alpha, or no epsilon beside a sequence.
+NOT_RATIONALS = (None, "a", True, float("nan"), float("inf"))
+BAD_EPSILONS = NOT_RATIONALS + (0, -1)
+
+
+def _rational_cases():
+    E = Fraction(3, 10)
+    owners = [
+        ("minimal_t", minimal_t, "epsilon", BAD_EPSILONS),
+        ("forest_grade_sequence", lambda x: forest_grade_sequence(20, x), "epsilon", BAD_EPSILONS),
+        ("minimal_hypergraph_t", lambda x: minimal_hypergraph_t(3, x), "epsilon", BAD_EPSILONS),
+        ("hypergraph_grade_sequence", lambda x: hypergraph_grade_sequence(600, 3, x), "epsilon",
+         BAD_EPSILONS),
+        # it refused 0 and -1 in these words already
+        ("grade_count_bound", grade_count_bound, "epsilon", NOT_RATIONALS),
+        ("bounded_degree_profile", lambda x: bounded_degree_profile(14, x), "epsilon",
+         BAD_EPSILONS),
+        ("build_bounded_degree", lambda x: build_bounded_degree(14, x), "epsilon", BAD_EPSILONS),
+        ("local_degree_profile", lambda x: local_degree_profile(14, x), "epsilon", BAD_EPSILONS),
+        ("build_local_degree", lambda x: build_local_degree(14, x), "epsilon", BAD_EPSILONS),
+        ("build_hypergraph", lambda x: build_hypergraph(600, 3, x), "epsilon", BAD_EPSILONS[1:]),
+        ("hypergraph_bounded_profile", lambda x: hypergraph_bounded_profile(21, 3, x), "epsilon",
+         BAD_EPSILONS[1:]),
+        ("bounded_degree_profile-alpha", lambda x: bounded_degree_profile(14, E, x), "alpha",
+         NOT_RATIONALS[1:]),
+        ("mobius_orbit-alpha", mobius_orbit, "alpha", NOT_RATIONALS),
+        ("mobius_orbit-start", lambda x: mobius_orbit(Fraction(1, 4), x), "start", NOT_RATIONALS),
+        ("attracting_fixed_point", attracting_fixed_point, "alpha", NOT_RATIONALS),
+    ]
+    for owner, call, name, bads in owners:
+        for bad in bads:
+            if bad in (0, -1):
+                message = f"{name} must be positive, got {bad}"
+            else:
+                message = f"{name} must be a rational number, got {bad!r}"
+            yield pytest.param(call, bad, message, id=f"{owner}-{bad!r}")
+
+
+@pytest.mark.parametrize("call, bad, message", _rational_cases())
+def test_a_rational_parameter_that_is_not_a_rational_is_refused(call, bad, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+# -- the lemmas that replaced checks which could not fire ------------------------
+
+
+def test_minimal_t_is_the_width_requirement():
+    # ceil(2/eps) <= floor(4/eps) + 1 for every eps > 0
+    for k in range(1, 3001):
+        eps = Fraction(k, 1000)
+        assert math.ceil(2 / eps) <= minimal_t(eps) == math.floor(4 / eps) + 1
+
+
+def test_floor_recurrence_neither_stalls_nor_loses_width_when_delta_t_exceeds_2():
+    runs = 0
+    for t in range(1, 101):
+        for k in range(1, 101):
+            delta = Fraction(k, 100)
+            if delta * t <= 2:
+                continue
+            for start in {0, t // 4, t // 2, 2 * t // 3, t - 1}:
+                values = _run_floor_recurrence(t, delta, start)
+                runs += 1
+                assert values[-1] == t
+                for a, b in zip(values, values[1:]):
+                    assert b > a
+                    if b < t:
+                        assert Fraction(b, t) >= (Fraction(1, 4) + delta / 2) / (1 - Fraction(a, t))
+    assert runs == 45_392
+
+
+def test_hypergraph_recurrence_grows_by_more_than_one_plus_delta_over_2():
+    # 585 sequences: r = 2, 3, 4, 39 epsilons in (0, c_r/2), five t from t0 up
+    sequences = 0
+    for r in (2, 3, 4):
+        half = threshold_constant(r) / 2
+        for k in range(1, 40):
+            eps = half * Fraction(k, 40)
+            t0 = minimal_hypergraph_t(r, eps)
+            for t in (t0, t0 + 1, 2 * t0, 3 * t0, 3 * t0 + 5):
+                seq = hypergraph_grade_sequence(t, r, eps)
+                sequences += 1
+                delta, values = seq.delta, seq.values
+                assert values[1] >= 5 / delta and 2 * values[1] > eps * t
+                for a, b in zip(values[1:], values[2:]):
+                    assert b > a
+                    if b < t:
+                        assert b > (1 + delta / 2) * a
+    assert sequences == 585

@@ -651,6 +651,12 @@ class TestCheckCertificate:
         with pytest.raises(CertificateError):
             check_certificate(inst, Certificate(steps=cert.steps, conclusion=999))
 
+    def test_a_cert_that_is_not_a_certificate_is_refused(self):
+        inst, cert = self._forest_and_cert()
+        for bad in (None, cert.steps):
+            with pytest.raises(CertificateError, match="^expected a Certificate, got "):
+                check_certificate(inst, bad)
+
     def test_double_forbidden_fails(self):
         inst, cert = self._forest_and_cert()
         first_forbidden = next(s for s in cert.steps if isinstance(s, ForbiddenStep))
