@@ -26,7 +26,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BuildSizeError, ParameterError, SequenceError, _as_rational, _refuse_non_int
+from .errors import BuildSizeError, ParameterError, SequenceError
+from .errors import _as_rational, _refuse_bad_budget, _refuse_non_int
 from .model import HEAVY, LIGHT, Block, PartitionedInstance, _declared_t, thickness
 from .sequences import (
     GradeSequence,
@@ -241,6 +242,7 @@ def build_forest(
     each higher heavy vertex is fully joined to the light set of a private
     lower unit.  Light vertices have degree at most 1 and the result is
     always a forest."""
+    _refuse_bad_budget("max_cells", max_cells)
     _refuse_non_int("t", t)
     if seq.t != t:
         raise SequenceError(f"sequence was generated for t={seq.t}, not t={t}")
@@ -264,6 +266,7 @@ def build_hypergraph(
     the implied epsilon (smallest making every per-grade block degree fit
     (c_r + eps) t^r) is recorded in the metadata.
     """
+    _refuse_bad_budget("max_cells", max_cells)
     _refuse_non_int("t", t)
     threshold_constant(r)  # refuses r unless an int of at least 2
     if epsilon is not None:
@@ -476,6 +479,7 @@ def build_bounded_degree(
     The build is not certified here; ``propagate_certificate`` (or
     ``transversals certify``) proves that it has no independent transversal.
     """
+    _refuse_bad_budget("max_cells", max_cells)
     profile = bounded_degree_profile(t, epsilon, alpha)
     return _build_gadget(profile, "bounded_degree", max_cells, {"alpha": str(profile.alpha)})
 
@@ -490,6 +494,7 @@ def build_local_degree(
     The build is not certified here; ``propagate_certificate`` (or
     ``transversals certify``) proves that it has no independent transversal.
     """
+    _refuse_bad_budget("max_cells", max_cells)
     profile = local_degree_profile(t, epsilon)
     return _build_gadget(profile, "local_degree", max_cells, {"alpha": str(profile.alpha)})
 
@@ -559,6 +564,7 @@ def build_hypergraph_bounded_degree(
     each grade-2 heavy vertex is joined to every forced vertex of its private
     gadget combined with all tuples over the gadget's full-size blocks.
     """
+    _refuse_bad_budget("max_cells", max_cells)
     profile = hypergraph_bounded_profile(t, r, epsilon, sequence_override)
     return _build_gadget(
         profile,
@@ -582,6 +588,7 @@ def build_star_counterexample(
     centers and each star's leaves form their own block.  Every block meets
     exactly |B|^2 / k edges, yet no independent transversal exists.  Builds
     beyond ``max_cells`` vertices or edges (k^3 + k^2 and k^3) are refused."""
+    _refuse_bad_budget("max_cells", max_cells)
     _refuse_non_int("k", k)
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
@@ -606,6 +613,7 @@ def pad_blocks(
     """Append padding blocks of t isolated light vertices until the instance
     has ``target_n`` blocks.  Metrics and certificates remain valid.  A
     padded instance beyond ``max_cells`` vertices or edges is refused."""
+    _refuse_bad_budget("max_cells", max_cells)
     _refuse_non_int("target_n", target_n)
     current = instance.num_blocks
     if target_n < current:
@@ -654,6 +662,7 @@ def build(recipe: BuildRecipe, max_cells: int | None = DEFAULT_MAX_CELLS) -> Par
     """Build from a flag-level recipe (the CLI entry point).  A field that
     the recipe's kind does not read raises :class:`ParameterError`; the
     builder checks the fields that it reads."""
+    _refuse_bad_budget("max_cells", max_cells)
     kind = recipe.kind
     if kind not in _RECIPE_READS:
         raise ParameterError(f"unknown build kind {kind!r}")

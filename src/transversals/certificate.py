@@ -265,7 +265,7 @@ def check_certificate(instance: PartitionedInstance, cert: Certificate) -> bool:
                 if isinstance(step, ForbiddenStep):
                     if len(wits) != r - 1 or len(set(wits)) != len(wits) or forbidden[v]:
                         return False
-                    bv = instance.block_of(v)
+                    bv = instance.block_of[v]
                     for b in wits:
                         check_block(b)
                         if b == bv or b not in last_forced:

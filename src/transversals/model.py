@@ -77,6 +77,9 @@ class PartitionedInstance:
     such a tuple, the edges are checked in whole-list passes; otherwise, or
     when a pass fails, edge by edge, which names the first bad edge.
 
+    ``block_of[v]`` is vertex v's block id: a tuple, like ``blocks``,
+    ``edges`` and ``roles``, and the one table the partition is read from.
+
     Instances are safe to share between threads once constructed.  Derived
     read-only tables are built on first use and cached: the adjacency and
     incidence lists here, and in ``_witness``, which only
@@ -92,7 +95,7 @@ class PartitionedInstance:
         "edges",
         "meta",
         "roles",
-        "_block_of",
+        "block_of",
         "_adjacency",
         "_incident",
         "_witness",
@@ -145,7 +148,7 @@ class PartitionedInstance:
                         f"partition violation: vertex {v} in more than one block", f"block {i}"
                     )
                 block_of[v] = i
-        self._block_of = block_of
+        self.block_of: tuple[int, ...] = tuple(block_of)
 
         edges = tuple(edges)
         if not _kept_as_given(edges, r, n):
@@ -171,14 +174,11 @@ class PartitionedInstance:
 
     @property
     def num_vertices(self) -> int:
-        return len(self._block_of)
+        return len(self.block_of)
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, v: int) -> int:
-        return self._block_of[v]
 
     def block(self, b: int) -> Block:
         """The block with id b; an id that is not an ``int`` in range (a bool
@@ -192,7 +192,7 @@ class PartitionedInstance:
         ``range(num_vertices)`` (a bool included) raises ``IndexError``."""
         if type(v) is not int or not 0 <= v < self.num_vertices:
             raise IndexError(f"no vertex with id {v!r}")
-        b = self.blocks[self._block_of[v]]
+        b = self.blocks[self.block_of[v]]
         return VertexInfo(block=b.id, grade=b.grade, role=self.roles[v])
 
     def adjacency(self) -> list[list[int]]:
@@ -317,7 +317,7 @@ def is_stretched(instance: PartitionedInstance, edge: Sequence[int]) -> bool:
         and any(instance.edges[i] == tup for i in incident[first])
     ):
         raise ForeignEdgeError(f"edge {tup} does not belong to this instance")
-    return len({instance._block_of[v] for v in tup}) == len(tup)
+    return len({instance.block_of[v] for v in tup}) == len(tup)
 
 
 def block_degree(instance: PartitionedInstance, b: int) -> int:
@@ -332,7 +332,7 @@ def block_degree(instance: PartitionedInstance, b: int) -> int:
 
 def _all_block_degrees(instance: PartitionedInstance) -> tuple[dict[int, int], int]:
     """Every block's degree and the number of stretched edges, in one pass."""
-    block_of = instance._block_of
+    block_of = instance.block_of
     degrees = [0] * instance.num_blocks
     stretched = 0
     if instance.r == 2:
@@ -378,7 +378,7 @@ def local_degree(instance: PartitionedInstance) -> int:
     """Maximum number of edges from one vertex into one other block (r=2 only)."""
     if instance.r != 2:
         raise UniformityError("local degree is defined for r=2 only")
-    block_of = instance._block_of
+    block_of = instance.block_of
     best = 0
     for u, nbrs in enumerate(instance.adjacency()):
         if len(nbrs) > best:  # a vertex of degree <= best cannot beat it

@@ -386,10 +386,7 @@ def mobius_orbit(
     z = start
     step = 0
     while outcome is None and step < max_steps:
-        step += 1
-        if z == 1:
-            outcome = OrbitOutcome(kind="escaped", step=step - 1)
-            break
+        step += 1  # z < 1 here: start != 1, and an iterate of at least 1 ends the loop
         z = alpha / (1 - z)
         points.append(z)
         if z >= 1:

@@ -173,7 +173,7 @@ def _only(values: Iterable[Any], cls: type) -> bool:
 def _load_json(data: bytes | str) -> Any:
     try:
         return json.loads(data)
-    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8, too deep
+    except (ValueError, TypeError, RecursionError) as exc:  # bad JSON or UTF-8, not text, too deep
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 

@@ -85,7 +85,7 @@ def _witness_index(inst: PartitionedInstance) -> tuple:
     witness rule reads block b, and ``tuples`` the sorted tuples of r
     distinct blocks that edges span."""
     if inst._witness is None:
-        r, block_of = inst.r, inst._block_of
+        r, block_of = inst.r, inst.block_of
         slot_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(inst.num_vertices)]
         live: list[int] = []
         owner: list[tuple[int, tuple[int, ...]]] = []
@@ -155,7 +155,8 @@ def _search_index(inst: PartitionedInstance) -> tuple:
 
 class _Marks:
     """The marking core of both engines: the forbidden flags, each block's
-    survivor count, the first block to empty and the trail.
+    survivor count, the first block to empty and the trail.  A block with no
+    members is empty from the start, so the lowest one ends every fixpoint.
 
     Every vertex marked forbidden is pushed on ``trail``, and an engine's
     ``undo`` rewinds to an earlier trail length.  The exact search keeps
@@ -168,10 +169,10 @@ class _Marks:
 
     def __init__(self, inst: PartitionedInstance):
         self.inst = inst
-        self.block_of = inst._block_of
+        self.block_of = inst.block_of
         self.forbidden = bytearray(inst.num_vertices)
         self.surv_count = [b.size for b in inst.blocks]
-        self.emptied: int | None = None
+        self.emptied = next((b for b, c in enumerate(self.surv_count) if not c), None)
         self.trail: list[int] = []
 
     def _survivors(self, b: int) -> tuple[int, ...]:
@@ -464,8 +465,7 @@ class _Propagation(_Marks):
                 kept.append(part)
             if len(kept) < r or live_edges != prod(len(part) for part in kept):
                 continue  # the surviving join is not complete
-            if not forced:
-                continue  # would have been caught by the witness rule
+            # with no forced vertex, _forced_set_hits(()) is [], skipped below
             forced_t = tuple(sorted(forced))
             hits = self._forced_set_hits(forced_t)
             if not hits:
@@ -574,18 +574,11 @@ def propagate_certificate(instance: PartitionedInstance) -> Certificate | None:
     independent transversal, None means the propagation is inconclusive.
     An empty (padding) block needs no step: the certificate then concludes
     at the lowest-id one."""
-    for blk in instance.blocks:
-        if not blk.members:
-            return Certificate(steps=(), conclusion=blk.id)
     prop = _Propagation(instance, record=True)
-    while True:
-        emptied = prop.run_basic()
-        if emptied is not None:
-            return Certificate(steps=tuple(prop.steps), conclusion=emptied)
+    while prop.run_basic() is None:  # returns at once on a block the join phase emptied
         if not prop.run_join_phase():
             return None
-        if prop.emptied is not None:
-            return Certificate(steps=tuple(prop.steps), conclusion=prop.emptied)
+    return Certificate(steps=tuple(prop.steps), conclusion=prop.emptied)
 
 
 # -- exact search -----------------------------------------------------------------
@@ -632,16 +625,16 @@ def find_transversal(
             break
         nodes += 1
         if prop.run_basic() is None:
-            # The open block with the fewest survivors, lowest id first; a
-            # block with none (an empty padding block) ends the branch.
+            # Every block has a survivor here, as an emptied block ends the
+            # fixpoint; branch on the open block with the fewest, lowest id first.
             open_counts = set(surv_count) - {1}
             if not open_counts:
                 leaf = {b: prop._survivors(b)[0] for b in range(instance.num_blocks)}
                 if _assignment_independent(instance, leaf):
                     assignment = leaf
                     break
-            elif (fewest := min(open_counts)) > 0:
-                stack.append(branches(surv_count.index(fewest)))
+            else:
+                stack.append(branches(surv_count.index(min(open_counts))))
         while stack and not next(stack[-1], False):
             stack.pop()
         if not stack:
@@ -662,9 +655,8 @@ def find_transversal(
 def _assignment_independent(
     instance: PartitionedInstance, assignment: dict[int, int]
 ) -> bool:
+    # one survivor of each block, and the blocks are disjoint, so no two coincide
     image = set(assignment.values())
-    if len(image) != instance.num_blocks:
-        return False
     return not any(set(e) <= image for e in instance.edges)
 
 
@@ -695,7 +687,7 @@ def count_transversals(
     start = time.perf_counter()
     r = instance.r
     num_blocks = instance.num_blocks
-    block_of = instance._block_of
+    block_of = instance.block_of
     members = [b.members for b in instance.blocks]
     if r == 2:
         adjacency = instance.adjacency()

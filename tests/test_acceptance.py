@@ -187,7 +187,7 @@ def test_a07_hypergraph_mechanics():
     assert inst.num_vertices == 57
     assert len(inst.edges) == 66
     for e in inst.edges:
-        assert len({inst.block_of(v) for v in e}) == r
+        assert len({inst.block_of[v] for v in e}) == r
     cert = propagate_certificate(inst)
     top = max(inst.blocks, key=lambda b: b.grade)
     assert cert is not None and cert.conclusion == top.id

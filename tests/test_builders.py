@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from transversals import (
     build_star_counterexample,
     check_certificate,
     compute_metrics,
+    forest_grade_sequence,
     hypergraph_bounded_parts,
     hypergraph_bounded_profile,
     is_forest,
@@ -40,7 +42,12 @@ from transversals import (
     thickness,
     threshold_constant,
 )
-from transversals.builders import DEFAULT_BOUNDED_ALPHA, LOCAL_ALPHA, LOCAL_DEGREE_RATIO
+from transversals.builders import (
+    DEFAULT_BOUNDED_ALPHA,
+    DEFAULT_MAX_CELLS,
+    LOCAL_ALPHA,
+    LOCAL_DEGREE_RATIO,
+)
 from transversals.builders import _hypergraph_values
 from transversals.sequences import _run_floor_recurrence, grade_block_degree
 
@@ -95,7 +102,7 @@ class TestBuildForest:
                 assert len(adjacency[v]) <= 1
         # no intra-block edges
         for u, v in inst.edges:
-            assert inst.block_of(u) != inst.block_of(v)
+            assert inst.block_of[u] != inst.block_of[v]
 
     def test_heavy_degrees_match_grades(self):
         t, seq = 6, simple_sequence(6)
@@ -156,7 +163,7 @@ class TestBuildHypergraph:
     def test_r3_every_edge_stretched(self):
         inst = build_hypergraph(3, 3, sequence_override=[0, 1, 3])
         for e in inst.edges:
-            assert len({inst.block_of(v) for v in e}) == 3
+            assert len({inst.block_of[v] for v in e}) == 3
 
     def test_r3_per_block_degree_formula(self):
         # grade-(j+1) blocks meet n_{j+1} (t-n_j)^{r-1} + (t-n_{j+1})^{r-1} edges
@@ -674,6 +681,15 @@ class TestRecipes:
         with pytest.raises(ParameterError):
             build(BuildRecipe(kind="mystery", t=3))
 
+    def test_forest_recipe_with_epsilon(self):
+        eps = Fraction(3, 10)
+        inst = build(BuildRecipe(kind="forest", t=14, epsilon=eps))
+        assert inst == build_forest(14, forest_grade_sequence(14, eps))
+
+    def test_forest_recipe_needs_epsilon_or_a_sequence(self):
+        with pytest.raises(ParameterError, match="^forest needs epsilon or an explicit sequence$"):
+            build(BuildRecipe(kind="forest", t=14))
+
     @pytest.mark.parametrize(
         "recipe",
         [
@@ -707,6 +723,36 @@ class TestRecipes:
             pred.vertices,
             pred.edges,
         )
+
+
+# Every public function that takes ``max_cells``, with a valid call around it.
+_BUDGET_TAKERS = {
+    "build_forest": lambda m: build_forest(3, simple_sequence(3), max_cells=m),
+    "build_hypergraph": lambda m: build_hypergraph(3, 3, sequence_override=(0, 1, 3), max_cells=m),
+    "build_bounded_degree": lambda m: build_bounded_degree(14, Fraction(3, 10), max_cells=m),
+    "build_local_degree": lambda m: build_local_degree(14, Fraction(3, 10), max_cells=m),
+    "build_hypergraph_bounded_degree": lambda m: build_hypergraph_bounded_degree(
+        21, 3, sequence_override=(0, 3, 21), max_cells=m
+    ),
+    "build_star_counterexample": lambda m: build_star_counterexample(2, max_cells=m),
+    "pad_blocks": lambda m: pad_blocks(build_star_counterexample(2), 6, max_cells=m),
+    "pad_blocks-to-current": lambda m: pad_blocks(build_star_counterexample(2), 5, max_cells=m),
+    "build": lambda m: build(BuildRecipe(kind="stars", k_stars=2), max_cells=m),
+}
+
+
+@pytest.mark.parametrize("bad", ["a", -1, True, 2.5], ids=repr)
+@pytest.mark.parametrize("call", _BUDGET_TAKERS.values(), ids=_BUDGET_TAKERS.keys())
+def test_a_max_cells_that_is_not_a_budget_is_refused(call, bad):
+    message = f"max_cells must be None or an int of at least 0, got {bad!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_max_cells_none_builds_without_a_budget():
+    for name in ("build_forest", "build_star_counterexample", "pad_blocks", "build"):
+        call = _BUDGET_TAKERS[name]
+        assert call(None) == call(DEFAULT_MAX_CELLS)
 
 
 # -- the lemmas that replaced checks which could not fire ------------------------

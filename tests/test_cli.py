@@ -1,11 +1,16 @@
+import ast
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import transversals
 from transversals import (
     Block,
     BuildRecipe,
@@ -13,8 +18,11 @@ from transversals import (
     PartitionedInstance,
     build,
     check_certificate,
+    hypergraph_grade_sequence,
+    propagate_certificate,
     read_certificate,
     read_instance,
+    serialize_certificate,
     simple_sequence,
     write_instance,
 )
@@ -94,6 +102,10 @@ class TestGen:
         )
         assert code == 2
         assert "blocks" in err
+
+    def test_simple_sequence_without_t_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "gen", "--kind", "forest", "--seq", "simple")
+        assert (code, out, err) == (2, "", "error: --seq simple needs --t\n")
 
     def test_zero_epsilon_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "gen", "--kind", "bounded_degree", "--t", "14", "--epsilon", "0")
@@ -193,6 +205,13 @@ class TestCertify:
         assert code == 0
         assert "confirms" in err
 
+
+    def test_certificate_without_out_goes_to_stdout(self, tmp_path, capsys):
+        inst = build(BuildRecipe(kind="stars", k_stars=2))
+        write_instance(inst, tmp_path / "stars.json")
+        code, stdout, err = run(capsys, "certify", str(tmp_path / "stars.json"))
+        assert (code, err) == (0, "")
+        assert stdout.encode() == serialize_certificate(propagate_certificate(inst))
 
     def test_empty_block_certifies_in_zero_steps(self, tmp_path, capsys):
         inst = PartitionedInstance(
@@ -328,9 +347,38 @@ class TestSequenceCommand:
         assert code == 0
         assert "converged to 1/2" in stdout
 
+    @pytest.mark.parametrize(
+        "args, outcome",
+        [(["--max-steps", "3"], "undecided"), ([], "escaped at step 6")],
+        ids=["three-steps", "default-steps"],
+    )
+    def test_mobius_above_a_quarter(self, args, outcome, capsys):
+        code, stdout, _ = run(capsys, "sequence", "--mobius", "0.3", *args)
+        assert code == 0
+        assert stdout.splitlines()[-1] == f"outcome: {outcome}"
+
+    def test_hypergraph_grade_sequence(self, capsys):
+        code, stdout, _ = run(capsys, "sequence", "--t", "600", "--epsilon", "7/100", "--r", "3")
+        assert code == 0
+        values = hypergraph_grade_sequence(600, 3, Fraction(7, 100)).values
+        assert stdout == ",".join(map(str, values)) + "\n"
+
     def test_haxell(self, capsys):
         code, stdout, _ = run(capsys, "sequence", "--t", "4", "--haxell", "5")
         assert stdout.strip() == "3"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ([], "nothing to do: pass --t, --mobius or --haxell"),
+            (["--haxell", "5"], "--haxell needs --t"),
+            (["--t", "20"], "sequence generation needs --epsilon (or --simple)"),
+        ],
+        ids=["no-flags", "haxell-without-t", "t-without-epsilon"],
+    )
+    def test_a_mode_without_its_input_is_one_error_line(self, args, message, capsys):
+        code, out, err = run(capsys, "sequence", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_t_below_minimum_is_validation_error(self, capsys):
         code, _, err = run(capsys, "sequence", "--t", "10", "--epsilon", "0.3")
@@ -414,6 +462,9 @@ class TestUsageErrors:
     def test_bad_fraction(self, capsys):
         assert main(["sequence", "--t", "20", "--epsilon", "lots"]) == 1
 
+    def test_bad_sequence(self, capsys):
+        assert main(["gen", "--kind", "forest", "--t", "7", "--seq", "0,x"]) == 1
+
     def test_missing_file(self, capsys):
         assert main(["metrics", "/nonexistent/x.json"]) == 2
 
@@ -451,3 +502,25 @@ class TestGarbageCollector:
         finally:
             (gc.enable if was else gc.disable)()
         assert seen == [False, False]
+
+
+class TestEntryPoints:
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(transversals.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "transversals", "sequence", "--t", "6", "--simple"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "0,1,2,3,4,5,6\n")
+
+    def test_all_lists_exactly_the_names_the_package_imports(self):
+        tree = ast.parse(Path(transversals.__file__).read_text())
+        imported = [
+            alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        assert sorted(transversals.__all__) == sorted(imported)
+        assert len(set(imported)) == len(imported)
+        for name in transversals.__all__:
+            assert getattr(transversals, name) is not None

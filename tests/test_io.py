@@ -207,6 +207,23 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="JSON"):
             parse_instance(b"put that in your pipe")
 
+    @pytest.mark.parametrize(
+        "parse, data",
+        [(parse_instance, None), (parse_instance, 3), (parse_certificate, None)],
+        ids=["instance-None", "instance-3", "certificate-None"],
+    )
+    def test_input_that_is_not_text(self, parse, data):
+        with pytest.raises(ParseError, match="^not valid JSON: the JSON object must be str"):
+            parse(data)
+
+    @pytest.mark.parametrize("field, value", [("edges", {}), ("blocks", 3)])
+    def test_top_level_field_that_is_not_an_array(self, field, value):
+        obj = self._base_obj()
+        obj[field] = value
+        with pytest.raises(ParseError, match=f"^{field} must be an array$") as err:
+            parse_instance(json.dumps(obj))
+        assert err.value.location is None
+
     @pytest.mark.parametrize("parse", [parse_instance, parse_certificate])
     def test_not_utf8(self, parse):
         with pytest.raises(ParseError, match="JSON"):
@@ -482,6 +499,11 @@ class TestExportDot:
     def test_deterministic(self):
         inst = build_star_counterexample(2)
         assert export_dot(inst) == export_dot(build_star_counterexample(2))
+
+    def test_padding_blocks_are_labelled(self):
+        dot = export_dot(pad_blocks(build_star_counterexample(2), 7))
+        assert dot.count(" [padding]") == 2
+        assert 'label="block 6 [padding]";' in dot
 
     def test_heavy_light_shapes(self):
         inst = build_forest(3, seq_of(3, [0, 3]))

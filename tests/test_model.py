@@ -154,6 +154,8 @@ def test_max_block_average_degree():
     assert max_block_average_degree(edgeless) == 0
     f2 = build_forest(3, GradeSequence.from_values(3, [0, 3]))
     assert max_block_average_degree(f2) == 3
+    with pytest.raises(InstanceError, match="^instance has no blocks$"):
+        compute_metrics(PartitionedInstance(2, [], []))
 
 
 def test_max_degree():
@@ -261,6 +263,14 @@ def test_block_degree_equals_sum_of_member_degrees_without_internal_edges(rng):
     adjacency = inst.adjacency()
     for blk in inst.blocks:
         assert block_degree(inst, blk.id) == sum(len(adjacency[v]) for v in blk.members)
+
+
+def test_block_of_is_the_partition_as_a_tuple():
+    inst = make_instance(2, [[0, 3], [2], [1, 4]], [(0, 1)])
+    assert inst.block_of == (0, 2, 1, 0, 2)
+    assert type(inst.block_of) is tuple
+    with pytest.raises(TypeError):
+        inst.block_of[0] = 1
 
 
 def test_partition_block_sizes_sum_to_vertex_count():
@@ -438,8 +448,8 @@ def local_degree_per_pair(inst):
     for e in inst.edges:
         for u in e:
             for v in e:
-                if inst.block_of(u) != inst.block_of(v):
-                    key = (u, inst.block_of(v))
+                if inst.block_of[u] != inst.block_of[v]:
+                    key = (u, inst.block_of[v])
                     count[key] = count.get(key, 0) + 1
     return max(count.values(), default=0)
 
@@ -462,7 +472,7 @@ def block_degrees_per_edge(inst):
     degrees = [0] * inst.num_blocks
     stretched = 0
     for e in inst.edges:
-        blocks = {inst.block_of(v) for v in e}
+        blocks = {inst.block_of[v] for v in e}
         if len(blocks) == len(e):
             stretched += 1
             for b in blocks:
@@ -488,5 +498,5 @@ def test_block_degrees_match_a_per_edge_count(r, rng):
         rng.shuffle(perm)
         for case in (inst, relabel(inst, perm)):
             assert _all_block_degrees(case) == block_degrees_per_edge(case)
-        seen.update(len({inst.block_of(v) for v in e}) == r for e in edges)
+        seen.update(len({inst.block_of[v] for v in e}) == r for e in edges)
     assert seen[True] and seen[False]  # stretched and block-repeating edges

@@ -31,6 +31,7 @@ from transversals import (
     validate_sequence,
 )
 from transversals.sequences import (
+    CONVERGENCE_TOLERANCE,
     _implied_epsilon,
     _run_floor_recurrence,
     attracting_fixed_point,
@@ -202,6 +203,10 @@ class TestHypergraphSequence:
                 x = Fraction(i, 100)
                 assert x * (1 - x) ** (r - 1) <= c_r
 
+    def test_threshold_constant_needs_r_at_least_two(self):
+        with pytest.raises(ParameterError, match="^uniformity must be at least 2, got 1$"):
+            threshold_constant(1)
+
     def test_grade_count_stays_bounded(self):
         import math
 
@@ -270,6 +275,31 @@ class TestMobiusOrbit:
         with pytest.raises(ParameterError):
             mobius_orbit(Fraction(1, 4), Fraction(1))
 
+    def test_max_steps_must_be_positive(self):
+        with pytest.raises(ParameterError, match="^max_steps must be positive$"):
+            mobius_orbit(Fraction(1, 4), Fraction(0), 0)
+
+    @pytest.mark.parametrize(
+        "alpha, start, max_steps, kind, step",
+        [
+            (Fraction(1, 4), Fraction(2), 10**4, "escaped", 0),
+            (Fraction(1, 4), Fraction(3, 4), 10**4, "escaped", 1),  # z_1 = 1, the pole
+            (Fraction(1, 5), Fraction(3, 4), 1, "undecided", None),  # moving away from z*
+            (Fraction(13, 50), Fraction(0), 3, "undecided", None),  # no real fixed point
+        ],
+        ids=["start-beyond-pole", "pole-at-step-1", "away-from-fixed-point", "above-quarter"],
+    )
+    def test_outcomes(self, alpha, start, max_steps, kind, step):
+        outcome = mobius_orbit(alpha, start, max_steps).outcome
+        assert (outcome.kind, outcome.step) == (kind, step)
+
+    def test_converges_to_an_irrational_fixed_point_within_the_tolerance(self):
+        # z* = (1 - sqrt(1/5)) / 2 = 0.2763932..., approximated by a rational
+        orbit = mobius_orbit(Fraction(1, 5), Fraction(0), 100)
+        assert orbit.outcome.kind == "converged"
+        assert abs(orbit.points[-1] - orbit.outcome.limit) < CONVERGENCE_TOLERANCE
+        assert abs(float(orbit.outcome.limit) - (1 - math.sqrt(0.2)) / 2) < 1e-12
+
 
 class TestHaxellThreshold:
     def test_reference_values(self):
@@ -280,6 +310,10 @@ class TestHaxellThreshold:
     def test_rejects_single_block(self):
         with pytest.raises(ParameterError):
             haxell_threshold(1, 5)
+
+    def test_rejects_a_t_below_one(self):
+        with pytest.raises(ParameterError, match="^t must be positive, got 0$"):
+            haxell_threshold(3, 0)
 
 
 def reference_validate_sequence(seq):

@@ -201,6 +201,11 @@ class TestPropagateCertificate:
         cert = propagate_certificate(inst)
         assert cert == Certificate(steps=(), conclusion=2)
         assert check_certificate(inst, cert)
+        # the r >= 3 engine starts from the same emptied block
+        hyper = PartitionedInstance(3, [*blocks, Block(4, (3,))], [(0, 2, 3)])
+        report = find_transversal(hyper)
+        assert (report.outcome, report.nodes_explored) == ("none_exhaustive", 1)
+        assert propagate_certificate(hyper) == Certificate(steps=(), conclusion=2)
 
 
 def certificate_digest(cert):
@@ -304,8 +309,8 @@ def witness_recount(prop, inst):
         count = [{} for _ in range(inst.num_vertices)]
         for e in inst.edges:
             for u, w in (e, e[::-1]):
-                b = inst.block_of(w)
-                if b != inst.block_of(u):
+                b = inst.block_of[w]
+                if b != inst.block_of[u]:
                     count[u][b] = count[u].get(b, 0) + (not prop.forbidden[w])
         if isinstance(prop, _Propagation):
             return count
@@ -319,7 +324,7 @@ def witness_recount(prop, inst):
     dead = []
     for e in inst.edges:
         dead.append(sum(prop.forbidden[u] for u in e))
-        blocks = [inst.block_of(u) for u in e]
+        blocks = [inst.block_of[u] for u in e]
         if dead[-1] or len(set(blocks)) < r:
             continue
         for j, u in enumerate(e):
@@ -481,7 +486,7 @@ def forced_set_hits_from_the_edges(prop, forced):
                 continue
             rest = [v for v in e if v != s]
             for u in rest:
-                key = (u, tuple(sorted(prop.inst.block_of(v) for v in rest if v != u)))
+                key = (u, tuple(sorted(prop.inst.block_of[v] for v in rest if v != u)))
                 met[key] = met.get(key, 0) + 1
         pairs = {
             key
